@@ -5,7 +5,6 @@
 //   spec    width-templated kernel over packed MuxedStream storage (what the
 //           plan's dispatch table selects for uniform-width slices/intervals)
 //   gen     runtime-width kernel over packed storage (the dispatch fallback)
-//   legacy  runtime-width decode over the old one-uint64-per-symbol slots
 //   sse4    lockstep SIMD checksum kernel, 128-bit lanes (when runnable)
 //   avx2    lockstep SIMD checksum kernel, 256-bit lanes (when runnable)
 //
@@ -161,7 +160,6 @@ int main(int argc, char** argv) {
   } kVariants[] = {
       {"spec", kernels::DecodeVariant::kSpecialized},
       {"gen", kernels::DecodeVariant::kGeneric},
-      {"legacy", kernels::DecodeVariant::kLegacySlots},
   };
   for (const int sym_len : {32, 64}) {
     for (const auto& v : kVariants) {

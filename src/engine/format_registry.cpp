@@ -42,205 +42,227 @@ core::Savings index_savings(std::size_t original, std::size_t compressed) {
 
 const std::vector<FormatTraits>& build_registry() {
   static const std::vector<FormatTraits> registry = {
-      {Format::kCsr, "CSR", /*compressed=*/false, /*extension=*/false,
+      {.format = Format::kCsr,
+       .name = "CSR",
        // The host CSR reference is the correctness baseline, not a GPU
        // cocktail candidate (the CSR-scalar/vector simulator baselines live
        // in bench_baselines_csr).
-       /*tunable=*/false, /*auto_priority=*/3, always_applicable,
-       /*build=*/nullptr,
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .auto_priority = 3,
+       .applicable = always_applicable,
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) {
          sparse::spmv_csr_reference(m.csr(), x, y);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_csr(m.csr(), x, y); },
-       /*tune=*/nullptr, /*savings=*/nullptr, /*serialize=*/nullptr,
-       [](const Matrix& m) { return check::validate_csr(m.csr()); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .native = [](const Matrix& m, Workspace&, std::span<const value_t> x,
+                    std::span<value_t> y) {
+         kernels::native_spmv_csr(m.csr(), x, y);
+       },
+       .validate = [](const Matrix& m) { return check::validate_csr(m.csr()); },
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_csr_scalar(dev, m.csr(), x).y;
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_csr(m.csr(), x, y, k);
-       },
-       /*resident_bytes=*/nullptr,
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .native_multi = [](const Matrix& m, Workspace&,
+                          std::span<const value_t> x, std::span<value_t> y,
+                          int k) { kernels::native_spmm_csr(m.csr(), x, y, k); },
+       .row_shardable = true},
 
-      {Format::kCoo, "COO", false, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.coo_ranges(m.coo()); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+      {.format = Format::kCoo,
+       .name = "COO",
+       .tunable = true,
+       .applicable = always_applicable,
+       .build = [](const Matrix& m, Workspace& ws) { ws.coo_ranges(m.coo()); },
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) {
          std::fill(y.begin(), y.end(), value_t{0});
          sparse::spmv_coo_accumulate(m.coo(), x, y);
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          kernels::native_spmv_coo(m.coo(), ws.coo_ranges(m.coo()), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          return {kernels::sim_spmv_coo(dev, m.coo(), x).time.gflops, 0.0};
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_coo(m.coo(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_coo(dev, m.coo(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          return m.coo().nnz() * (2 * sizeof(index_t) + sizeof(value_t));
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kEll, "ELLPACK", false, false, true, -1, ell_applicable,
-       [](const Matrix& m, Workspace&) { m.ell(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_ell(m.ell(), x, y);
+      {.format = Format::kEll,
+       .name = "ELLPACK",
+       .tunable = true,
+       .applicable = ell_applicable,
+       .build = [](const Matrix& m, Workspace&) { m.ell(); },
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { sparse::spmv_ell(m.ell(), x, y); },
+       .native = [](const Matrix& m, Workspace&, std::span<const value_t> x,
+                    std::span<value_t> y) {
+         kernels::native_spmv_ell(m.ell(), x, y);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_ell(m.ell(), x, y); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          return {kernels::sim_spmv_ell(dev, m.ell(), x).time.gflops, 0.0};
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_ell(m.ell(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_ell(dev, m.ell(), x).y;
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_ell(m.ell(), x, y, k);
-       },
-       [](const Matrix& m) {
+       .native_multi = [](const Matrix& m, Workspace&,
+                          std::span<const value_t> x, std::span<value_t> y,
+                          int k) { kernels::native_spmm_ell(m.ell(), x, y, k); },
+       .resident_bytes = [](const Matrix& m) {
          return m.ell().entries() * (sizeof(index_t) + sizeof(value_t));
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kEllR, "ELLPACK-R", false, false, true, -1, ell_applicable,
-       [](const Matrix& m, Workspace&) { m.ellr(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_ellr(m.ellr(), x, y);
+      {.format = Format::kEllR,
+       .name = "ELLPACK-R",
+       .tunable = true,
+       .applicable = ell_applicable,
+       .build = [](const Matrix& m, Workspace&) { m.ellr(); },
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { sparse::spmv_ellr(m.ellr(), x, y); },
+       .native = [](const Matrix& m, Workspace&, std::span<const value_t> x,
+                    std::span<value_t> y) {
+         kernels::native_spmv_ellr(m.ellr(), x, y);
        },
-       [](const Matrix& m, Workspace&, std::span<const value_t> x,
-          std::span<value_t> y) { kernels::native_spmv_ellr(m.ellr(), x, y); },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          return {kernels::sim_spmv_ellr(dev, m.ellr(), x).time.gflops, 0.0};
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_ellr(m.ellr(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_ellr(dev, m.ellr(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          const auto& e = m.ellr();
          return e.ell.entries() * (sizeof(index_t) + sizeof(value_t)) +
                 e.row_length.size() * sizeof(index_t);
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kHyb, "HYB", false, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.coo_ranges(m.hyb().coo); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         sparse::spmv_hyb(m.hyb(), x, y);
+      {.format = Format::kHyb,
+       .name = "HYB",
+       .tunable = true,
+       .applicable = always_applicable,
+       .build = [](const Matrix& m, Workspace& ws) {
+         ws.coo_ranges(m.hyb().coo);
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { sparse::spmv_hyb(m.hyb(), x, y); },
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          kernels::native_spmv_hyb(m.hyb(), ws.coo_ranges(m.hyb().coo), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          return {kernels::sim_spmv_hyb(dev, m.hyb(), x).time.gflops, 0.0};
        },
-       nullptr, nullptr,
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_hyb(m.hyb(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_hyb(dev, m.hyb(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          const auto& h = m.hyb();
          return h.ell.entries() * (sizeof(index_t) + sizeof(value_t)) +
                 h.coo.nnz() * (2 * sizeof(index_t) + sizeof(value_t));
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroEll, "BRO-ELL", true, false, true, 1, ell_applicable,
-       [](const Matrix& m, Workspace& ws) { ws.bro_ell_kernels(m.bro_ell()); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_ell().spmv(x, y);
+      {.format = Format::kBroEll,
+       .name = "BRO-ELL",
+       .compressed = true,
+       .tunable = true,
+       .auto_priority = 1,
+       .applicable = ell_applicable,
+       .build = [](const Matrix& m, Workspace& ws) {
+         ws.kernel_table(m.bro_ell());
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
-         kernels::native_spmv_bro_ell(m.bro_ell(),
-                                      ws.bro_ell_kernels(m.bro_ell()), x, y);
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { m.bro_ell().spmv(x, y); },
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
+         const auto& bro = m.bro_ell();
+         kernels::native_spmv_bro_ell(bro, ws.kernel_table(bro), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          const auto& bro = m.bro_ell();
          return {kernels::sim_spmv_bro_ell(dev, bro, x).time.gflops,
                  index_savings(bro.original_index_bytes(),
                                bro.compressed_index_bytes())
                      .eta()};
        },
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_ell().original_index_bytes(),
                               m.bro_ell().compressed_index_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_ell(out, m.bro_ell());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_ell(m.bro_ell(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_bro_ell(dev, m.bro_ell(), x).y;
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
-         kernels::native_spmm_bro_ell(
-             m.bro_ell(), ws.bro_ell_kernels(m.bro_ell()), x, y, k);
+       .native_multi = [](const Matrix& m, Workspace& ws,
+                          std::span<const value_t> x, std::span<value_t> y,
+                          int k) {
+         const auto& bro = m.bro_ell();
+         kernels::native_spmm_bro_ell(bro, ws.kernel_table(bro), x, y, k);
        },
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          return m.bro_ell().resident_index_bytes() +
                 m.bro_ell().vals().size() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .native_generic = [](const Matrix& m, std::span<const value_t> x,
+                            std::span<value_t> y) {
          kernels::native_spmv_bro_ell_generic(m.bro_ell(), x, y);
        },
-       /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroCoo, "BRO-COO", true, false, true, -1, always_applicable,
-       [](const Matrix& m, Workspace& ws) {
+      {.format = Format::kBroCoo,
+       .name = "BRO-COO",
+       .compressed = true,
+       .tunable = true,
+       .applicable = always_applicable,
+       .build = [](const Matrix& m, Workspace& ws) {
          ws.carries(m.bro_coo().intervals().size());
-         ws.bro_coo_kernels(m.bro_coo());
+         ws.kernel_table(m.bro_coo());
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) {
          std::fill(y.begin(), y.end(), value_t{0});
          m.bro_coo().spmv_accumulate(x, y);
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          const auto& bro = m.bro_coo();
-         kernels::native_spmv_bro_coo(bro, ws.bro_coo_kernels(bro), x, y,
+         kernels::native_spmv_bro_coo(bro, ws.kernel_table(bro), x, y,
                                       ws.carries(bro.intervals().size()));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          // Device-matched interval sizing (the COO kernel's launch rule).
          const auto bro = core::BroCoo::compress(
              m.coo(), kernels::bro_coo_options_for(m.nnz(), dev));
@@ -249,65 +271,71 @@ const std::vector<FormatTraits>& build_registry() {
                                bro.compressed_row_bytes())
                      .eta()};
        },
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_coo().original_row_bytes(),
                               m.bro_coo().compressed_row_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_coo(out, m.bro_coo());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_coo(m.bro_coo(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          // The facade-cached object (not the device-retuned one tune() uses)
          // so the differential run covers what apply/native ran.
          return kernels::sim_spmv_bro_coo(dev, m.bro_coo(), x).y;
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
+       .native_multi = [](const Matrix& m, Workspace& ws,
+                          std::span<const value_t> x, std::span<value_t> y,
+                          int k) {
          const auto& bro = m.bro_coo();
          const std::size_t n = bro.intervals().size();
          kernels::native_spmm_bro_coo(
-             bro, ws.bro_coo_kernels(bro), x, y, k, ws.carries(n),
+             bro, ws.kernel_table(bro), x, y, k, ws.carries(n),
              ws.carry_sums(n * 2 * static_cast<std::size_t>(k)));
        },
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          return m.bro_coo().resident_row_bytes() +
                 m.bro_coo().padded_nnz() *
                     (sizeof(index_t) + sizeof(value_t));
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .native_generic = [](const Matrix& m, std::span<const value_t> x,
+                            std::span<value_t> y) {
          kernels::native_spmv_bro_coo_generic(m.bro_coo(), x, y);
        },
        // Interval carries regroup a row's partial sums at global stream
        // offsets; a shard's re-compression regroups them differently.
-       /*row_shardable=*/false},
+       .row_shardable = false},
 
-      {Format::kBroHyb, "BRO-HYB", true, false, true, 2, nonzero_applicable,
-       [](const Matrix& m, Workspace& ws) {
+      {.format = Format::kBroHyb,
+       .name = "BRO-HYB",
+       .compressed = true,
+       .tunable = true,
+       .auto_priority = 2,
+       .applicable = nonzero_applicable,
+       .build = [](const Matrix& m, Workspace& ws) {
          const auto& bro = m.bro_hyb();
-         ws.bro_ell_kernels(bro.ell_part());
+         ws.kernel_table(bro.ell_part());
          if (bro.coo_part().nnz() > 0) {
            ws.values(static_cast<std::size_t>(bro.rows()));
            ws.carries(bro.coo_part().intervals().size());
-           ws.bro_coo_kernels(bro.coo_part());
+           ws.kernel_table(bro.coo_part());
          }
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_hyb().spmv(x, y);
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { m.bro_hyb().spmv(x, y); },
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          const auto& bro = m.bro_hyb();
          kernels::native_spmv_bro_hyb(
-             bro, ws.bro_ell_kernels(bro.ell_part()),
-             ws.bro_coo_kernels(bro.coo_part()), x, y, ws.values(y.size()),
+             bro, ws.kernel_table(bro.ell_part()),
+             ws.kernel_table(bro.coo_part()), x, y, ws.values(y.size()),
              ws.carries(bro.coo_part().intervals().size()));
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          // Identical partition to HYB (paper §4.2.3) with device-matched
          // BRO-COO intervals for the overflow part.
          const auto& hyb = m.hyb();
@@ -320,141 +348,147 @@ const std::vector<FormatTraits>& build_registry() {
                                bro.compressed_index_bytes())
                      .eta()};
        },
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_hyb().original_index_bytes(),
                               m.bro_hyb().compressed_index_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_hyb(out, m.bro_hyb());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_hyb(m.bro_hyb(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_bro_hyb(dev, m.bro_hyb(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          const auto& bro = m.bro_hyb();
          return bro.resident_index_bytes() +
                 bro.ell_part().vals().size() * sizeof(value_t) +
                 bro.coo_part().padded_nnz() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .native_generic = [](const Matrix& m, std::span<const value_t> x,
+                            std::span<value_t> y) {
          kernels::native_spmv_bro_hyb_generic(m.bro_hyb(), x, y);
        },
        // The ELL/COO split point (width rule) shifts per shard and the COO
        // part inherits BRO-COO's interval regrouping.
-       /*row_shardable=*/false},
+       .row_shardable = false},
 
-      {Format::kBroCsr, "BRO-CSR", true, /*extension=*/true, true, -1,
-       always_applicable,
-       [](const Matrix& m, Workspace&) { m.bro_csr(); },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_csr().spmv(x, y);
-       },
-       // No OpenMP host kernel yet: the plan falls back to the sequential
-       // warp-scan decode.
-       /*native=*/nullptr,
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+      {.format = Format::kBroCsr,
+       .name = "BRO-CSR",
+       .compressed = true,
+       .extension = true,
+       .tunable = true,
+       .applicable = always_applicable,
+       .build = [](const Matrix& m, Workspace&) { m.bro_csr(); },
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { m.bro_csr().spmv(x, y); },
+       // No `native`: there is no OpenMP host kernel yet, so the plan falls
+       // back to the sequential warp-scan decode.
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          const auto& bro = m.bro_csr();
          return {kernels::sim_spmv_bro_csr(dev, bro, x).time.gflops,
                  index_savings(bro.original_index_bytes(),
                                bro.compressed_index_bytes())
                      .eta()};
        },
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_csr().original_index_bytes(),
                               m.bro_csr().compressed_index_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_csr(out, m.bro_csr());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_csr(m.bro_csr(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_bro_csr(dev, m.bro_csr(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          const auto& bro = m.bro_csr();
          return bro.compressed_index_bytes() +
                 bro.row_ptr().size() * sizeof(index_t) +
                 bro.vals().size() * sizeof(value_t);
        },
-       /*native_generic=*/nullptr, /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroAns, "BRO-ANS", true, /*extension=*/true,
-       // Not tunable: the symbol model adapts to the matrix by construction
-       // (the frequency table is rebuilt per matrix), leaving no
-       // device-dependent knob for the cocktail to sweep.
-       /*tunable=*/false, /*auto_priority=*/-1, ell_applicable,
-       [](const Matrix& m, Workspace& ws) {
-         ws.bro_ans_kernels(m.bro_ans());
+      {.format = Format::kBroAns,
+       .name = "BRO-ANS",
+       .compressed = true,
+       .extension = true,
+       // Not tunable and never auto-selected: the symbol model adapts to
+       // the matrix by construction (the frequency table is rebuilt per
+       // matrix), leaving no device-dependent knob for the cocktail to
+       // sweep.
+       .applicable = ell_applicable,
+       .build = [](const Matrix& m, Workspace& ws) {
+         ws.kernel_table(m.bro_ans());
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_ans().spmv(x, y);
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { m.bro_ans().spmv(x, y); },
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          const auto& bro = m.bro_ans();
-         kernels::native_spmv_bro_ans(bro, ws.bro_ans_kernels(bro), x, y);
+         kernels::native_spmv_bro_ans(bro, ws.kernel_table(bro), x, y);
        },
-       /*tune=*/nullptr,
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_ans().original_index_bytes(),
                               m.bro_ans().compressed_index_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_ans(out, m.bro_ans());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_ans(m.bro_ans(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_bro_ans(dev, m.bro_ans(), x).y;
        },
-       /*native_multi=*/nullptr,
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          return m.bro_ans().resident_index_bytes() +
                 m.bro_ans().vals().size() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .native_generic = [](const Matrix& m, std::span<const value_t> x,
+                            std::span<value_t> y) {
          kernels::native_spmv_bro_ans_generic(m.bro_ans(), x, y);
        },
        // Entropy coding is per-row-slice with a per-matrix table; a shard
        // rebuild re-derives its own table, but decode stays lossless and
        // accumulation left-to-right, so sharded results are bitwise equal.
-       /*row_shardable=*/true},
+       .row_shardable = true},
 
-      {Format::kBroBcsr, "BRO-BCSR", true, /*extension=*/true, true,
+      {.format = Format::kBroBcsr,
+       .name = "BRO-BCSR",
+       .compressed = true,
+       .extension = true,
+       .tunable = true,
        // First pick when its strict applicability gate (block cover with
        // enough fill AND a real byte win over the unblocked streams —
        // core/bro_bcsr.cpp) passes: on matrices that block well it beats
        // BRO-ELL on both eta and decode rate, and the gate keeps it off
        // everything else (notably all of Test Set 1).
-       /*auto_priority=*/0,
-       [](const sparse::Csr& csr, double max_ell_expand) {
+       .auto_priority = 0,
+       .applicable = [](const sparse::Csr& csr, double max_ell_expand) {
          return core::bro_bcsr_applicable(csr, max_ell_expand);
        },
-       [](const Matrix& m, Workspace& ws) {
-         ws.bro_bcsr_kernels(m.bro_bcsr());
+       .build = [](const Matrix& m, Workspace& ws) {
+         ws.kernel_table(m.bro_bcsr());
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
-         m.bro_bcsr().spmv(x, y);
-       },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y) {
+       .apply = [](const Matrix& m, std::span<const value_t> x,
+                   std::span<value_t> y) { m.bro_bcsr().spmv(x, y); },
+       .native = [](const Matrix& m, Workspace& ws,
+                    std::span<const value_t> x, std::span<value_t> y) {
          const auto& bro = m.bro_bcsr();
-         kernels::native_spmv_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y);
+         kernels::native_spmv_bro_bcsr(bro, ws.kernel_table(bro), x, y);
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) -> TuneOutcome {
+       .tune = [](const DeviceSpec& dev, const Matrix& m,
+                  std::span<const value_t> x) -> TuneOutcome {
          const auto& bro = m.bro_bcsr();
          // eta is fill-adjusted: compressed_index_bytes charges the cover's
          // explicit-zero value slots against the index-bit savings.
@@ -463,31 +497,32 @@ const std::vector<FormatTraits>& build_registry() {
                                bro.compressed_index_bytes())
                      .eta()};
        },
-       [](const Matrix& m) {
+       .savings = [](const Matrix& m) {
          return index_savings(m.bro_bcsr().original_index_bytes(),
                               m.bro_bcsr().compressed_index_bytes());
        },
-       [](std::ostream& out, const Matrix& m) {
+       .serialize = [](std::ostream& out, const Matrix& m) {
          core::write_bro_bcsr(out, m.bro_bcsr());
        },
-       [](const Matrix& m) {
+       .validate = [](const Matrix& m) {
          return check::validate_bro_bcsr(m.bro_bcsr(), &m.csr());
        },
-       [](const DeviceSpec& dev, const Matrix& m,
-          std::span<const value_t> x) {
+       .sim_apply = [](const DeviceSpec& dev, const Matrix& m,
+                       std::span<const value_t> x) {
          return kernels::sim_spmv_bro_bcsr(dev, m.bro_bcsr(), x).y;
        },
-       [](const Matrix& m, Workspace& ws, std::span<const value_t> x,
-          std::span<value_t> y, int k) {
+       .native_multi = [](const Matrix& m, Workspace& ws,
+                          std::span<const value_t> x, std::span<value_t> y,
+                          int k) {
          const auto& bro = m.bro_bcsr();
-         kernels::native_spmm_bro_bcsr(bro, ws.bro_bcsr_kernels(bro), x, y,
-                                       k);
+         kernels::native_spmm_bro_bcsr(bro, ws.kernel_table(bro), x, y, k);
        },
-       [](const Matrix& m) {
+       .resident_bytes = [](const Matrix& m) {
          return m.bro_bcsr().resident_index_bytes() +
                 m.bro_bcsr().vals().size() * sizeof(value_t);
        },
-       [](const Matrix& m, std::span<const value_t> x, std::span<value_t> y) {
+       .native_generic = [](const Matrix& m, std::span<const value_t> x,
+                            std::span<value_t> y) {
          kernels::native_spmv_bro_bcsr_generic(m.bro_bcsr(), x, y);
        },
        // Per-row accumulation is the 8-lane contract in ascending column
@@ -495,7 +530,7 @@ const std::vector<FormatTraits>& build_registry() {
        // fill products appear, and those never alter a lane (the reduce's
        // trailing +0.0 also normalizes the -0.0 edge), so sharded results
        // stay bitwise equal.
-       /*row_shardable=*/true},
+       .row_shardable = true},
   };
   return registry;
 }

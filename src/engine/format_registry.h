@@ -6,8 +6,9 @@
 // native-kernel / simulator hooks and serialization. Everything that used to
 // switch over core::Format — format_name, name parsing, Matrix::spmv,
 // auto-selection, the autotuner's candidate enumeration, the CLI's --format
-// handling and the bench harness — iterates this table instead, so adding a
-// format is a one-entry change.
+// handling and the bench harness — iterates this table instead. A new
+// format still touches more than this table; DESIGN.md (Layer 1) lists the
+// files.
 #pragma once
 
 #include <iosfwd>
@@ -33,48 +34,54 @@ struct TuneOutcome {
   double eta = 0;
 };
 
+/// One registry entry. Entries are written with designated initializers;
+/// every field has a default (null hooks, false flags, never
+/// auto-selected), so an entry names only what its format provides.
+/// `format`, `name`, `applicable` and `apply` are required.
 struct FormatTraits {
-  core::Format format;
-  const char* name;   // the canonical display/CLI name ("BRO-ELL", ...)
-  bool compressed;    // BRO family: reports nonzero index savings
-  bool extension;     // beyond the paper (gated by TuneOptions)
-  bool tunable;       // participates in the autotuner's cocktail ranking
-  int auto_priority;  // auto_format(): lowest applicable wins; <0 = never
+  core::Format format{};
+  const char* name = nullptr; // the canonical display/CLI name ("BRO-ELL")
+  bool compressed = false;    // BRO family: reports nonzero index savings
+  bool extension = false;     // beyond the paper (gated by TuneOptions)
+  bool tunable = false;       // in the autotuner's cocktail ranking
+  int auto_priority = -1;     // auto_format(): lowest applicable wins;
+                              // <0 = never
 
   /// Can this format hold the matrix without pathological expansion?
   /// (ELLPACK family: rows * max_row_length <= max_ell_expand * nnz.)
-  bool (*applicable)(const sparse::Csr& csr, double max_ell_expand);
+  bool (*applicable)(const sparse::Csr& csr, double max_ell_expand) = nullptr;
 
   /// One-time plan step: materialize the representation in the facade's
-  /// cache and pre-size the workspace so execute() never allocates.
-  void (*build)(const core::Matrix& m, Workspace& ws);
+  /// cache and pre-size the workspace so execute() never allocates (null:
+  /// nothing to build beyond the facade's base CSR).
+  void (*build)(const core::Matrix& m, Workspace& ws) = nullptr;
 
   /// Sequential reference kernel — what Matrix::spmv dispatches to.
   void (*apply)(const core::Matrix& m, std::span<const value_t> x,
-                std::span<value_t> y);
+                std::span<value_t> y) = nullptr;
 
   /// OpenMP host kernel fed from the plan workspace (null: falls back to
   /// apply — e.g. the sequential BRO-CSR extension).
   void (*native)(const core::Matrix& m, Workspace& ws,
-                 std::span<const value_t> x, std::span<value_t> y);
+                 std::span<const value_t> x, std::span<value_t> y) = nullptr;
 
   /// Simulator run with device-matched compression options (null for
   /// formats excluded from the cocktail, e.g. the CSR host reference).
   TuneOutcome (*tune)(const sim::DeviceSpec& dev, const core::Matrix& m,
-                      std::span<const value_t> x);
+                      std::span<const value_t> x) = nullptr;
 
   /// Index space savings of the device-independent representation
   /// (null for uncompressed formats).
-  core::Savings (*savings)(const core::Matrix& m);
+  core::Savings (*savings)(const core::Matrix& m) = nullptr;
 
   /// Write the compressed representation as a tagged .bro stream
   /// (null when the format has no on-disk form).
-  void (*serialize)(std::ostream& out, const core::Matrix& m);
+  void (*serialize)(std::ostream& out, const core::Matrix& m) = nullptr;
 
   /// Structural + lossless-against-source invariant check of the format's
   /// representation (bro::check validators): one message per violation,
   /// empty = valid. Builds the representation on first call.
-  std::vector<std::string> (*validate)(const core::Matrix& m);
+  std::vector<std::string> (*validate)(const core::Matrix& m) = nullptr;
 
   /// Simulator-kernel numerical result for differential testing: runs the
   /// GPU-simulator kernel and returns its y vector (null when the format
@@ -83,7 +90,7 @@ struct FormatTraits {
   /// same object.
   std::vector<value_t> (*sim_apply)(const sim::DeviceSpec& dev,
                                     const core::Matrix& m,
-                                    std::span<const value_t> x);
+                                    std::span<const value_t> x) = nullptr;
 
   /// Multi-vector (SpMM) OpenMP host kernel over k interleaved right-hand
   /// sides (see kernels/native_spmm.h for the layout and the bitwise
@@ -91,13 +98,13 @@ struct FormatTraits {
   /// executes through gather/scatter scratch.
   void (*native_multi)(const core::Matrix& m, Workspace& ws,
                        std::span<const value_t> x, std::span<value_t> y,
-                       int k);
+                       int k) = nullptr;
 
   /// Bytes of the built format-specific representation beyond the facade's
   /// base CSR (null: the representation *is* that CSR, e.g. the CSR host
   /// reference). Builds the representation on first call. Feeds the serve
   /// layer's PlanCache byte budget via SpmvPlan::resident_bytes().
-  std::size_t (*resident_bytes)(const core::Matrix& m);
+  std::size_t (*resident_bytes)(const core::Matrix& m) = nullptr;
 
   /// The same SpMV forced through the runtime-width (generic) decoder
   /// instead of the plan's width-specialized dispatch table (null for
@@ -105,7 +112,7 @@ struct FormatTraits {
   /// the differential fuzz driver compares it against native() *bitwise* —
   /// the parity oracle for the specialized kernels.
   void (*native_generic)(const core::Matrix& m, std::span<const value_t> x,
-                         std::span<value_t> y);
+                         std::span<value_t> y) = nullptr;
 
   /// True when a row partition of the matrix, re-compressed shard by shard,
   /// executes bitwise-identically to the whole-matrix plan (engine/shard.h).

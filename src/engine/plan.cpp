@@ -90,58 +90,6 @@ std::span<const kernels::CooRange> Workspace::coo_ranges(
   return ranges_;
 }
 
-std::span<const kernels::BroEllKernel> Workspace::bro_ell_kernels(
-    const core::BroEll& a) {
-  const kernels::SimdIsa isa = kernels::active_simd_isa();
-  if (ell_kernels_for_ != &a || ell_kernels_.size() != a.slices().size() ||
-      ell_kernels_isa_ != isa) {
-    ell_kernels_ = kernels::plan_bro_ell_kernels(a, isa);
-    ell_kernels_for_ = &a;
-    ell_kernels_isa_ = isa;
-    ++allocations_;
-  }
-  return ell_kernels_;
-}
-
-std::span<const kernels::BroCooKernel> Workspace::bro_coo_kernels(
-    const core::BroCoo& a) {
-  const kernels::SimdIsa isa = kernels::active_simd_isa();
-  if (coo_kernels_for_ != &a || coo_kernels_.size() != a.intervals().size() ||
-      coo_kernels_isa_ != isa) {
-    coo_kernels_ = kernels::plan_bro_coo_kernels(a, isa);
-    coo_kernels_for_ = &a;
-    coo_kernels_isa_ = isa;
-    ++allocations_;
-  }
-  return coo_kernels_;
-}
-
-std::span<const kernels::BroAnsKernel> Workspace::bro_ans_kernels(
-    const core::BroAns& a) {
-  const kernels::SimdIsa isa = kernels::active_simd_isa();
-  if (ans_kernels_for_ != &a || ans_kernels_.size() != a.slices().size() ||
-      ans_kernels_isa_ != isa) {
-    ans_kernels_ = kernels::plan_bro_ans_kernels(a, isa);
-    ans_kernels_for_ = &a;
-    ans_kernels_isa_ = isa;
-    ++allocations_;
-  }
-  return ans_kernels_;
-}
-
-std::span<const kernels::BroBcsrKernel> Workspace::bro_bcsr_kernels(
-    const core::BroBcsr& a) {
-  const kernels::SimdIsa isa = kernels::active_simd_isa();
-  if (bcsr_kernels_for_ != &a || bcsr_kernels_.size() != a.slices().size() ||
-      bcsr_kernels_isa_ != isa) {
-    bcsr_kernels_ = kernels::plan_bro_bcsr_kernels(a, isa);
-    bcsr_kernels_for_ = &a;
-    bcsr_kernels_isa_ = isa;
-    ++allocations_;
-  }
-  return bcsr_kernels_;
-}
-
 SpmvPlan::SpmvPlan(std::shared_ptr<const core::Matrix> matrix,
                    std::optional<core::Format> format)
     : matrix_(std::move(matrix)) {

@@ -28,6 +28,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/matrix.h"
@@ -37,6 +39,44 @@
 #include "solver/operator.h"
 
 namespace bro::engine {
+
+/// One representation's plan-time kernel table (kernels::plan_kernels),
+/// cached and keyed on the object's address, its slice/interval count and
+/// the SIMD ISA it was selected at — so a different object at the same
+/// address, or a ScopedSimdIsa/BRO_SIMD change, re-selects instead of
+/// reusing stale kernels.
+template <typename Rep, typename Kernel>
+class KernelCache {
+ public:
+  /// The table for `a` at `isa`; counts a re-selection in `allocations`.
+  std::span<const Kernel> get(const Rep& a, kernels::SimdIsa isa,
+                              std::size_t& allocations) {
+    if (for_ != &a || table_.size() != slots(a) || isa_ != isa) {
+      table_ = kernels::plan_kernels(a, isa);
+      for_ = &a;
+      isa_ = isa;
+      ++allocations;
+    }
+    return table_;
+  }
+
+ private:
+  static std::size_t slots(const Rep& a) {
+    if constexpr (requires { a.intervals(); })
+      return a.intervals().size();
+    else
+      return a.slices().size();
+  }
+
+  std::vector<Kernel> table_;
+  const Rep* for_ = nullptr;
+  kernels::SimdIsa isa_ = kernels::SimdIsa::kScalar;
+};
+
+/// The kernel type kernels::plan_kernels selects for representation Rep.
+template <typename Rep>
+using KernelFor = typename decltype(kernels::plan_kernels(
+    std::declval<const Rep&>(), kernels::SimdIsa{}))::value_type;
 
 /// Pre-sized scratch owned by a plan. Each accessor grows its buffer only
 /// when the request exceeds the current size and counts every growth, so a
@@ -66,22 +106,17 @@ class Workspace {
   /// recomputes the split instead of silently reusing stale ranges.
   std::span<const kernels::CooRange> coo_ranges(const sparse::Coo& a);
 
-  /// The per-slice / per-interval decode-kernel selection for a BRO
-  /// representation, computed on first request and cached (keyed on the
-  /// object address plus its slice/interval count, like coo_ranges, plus
-  /// the active SIMD ISA so a ScopedSimdIsa/BRO_SIMD change re-selects
-  /// instead of reusing stale kernels). The build hooks populate these so
-  /// execute()/execute_multi() dispatch through pre-selected
-  /// width-specialized kernels with no per-call selection scan or
+  /// The per-slice / per-interval decode-kernel table for a BRO
+  /// representation (BroEll, BroCoo, BroAns or BroBcsr) at the active SIMD
+  /// ISA, selected on first request and cached (see KernelCache). The
+  /// build hooks populate these so execute()/execute_multi() dispatch
+  /// through pre-selected kernels with no per-call selection scan or
   /// allocation.
-  std::span<const kernels::BroEllKernel> bro_ell_kernels(
-      const core::BroEll& a);
-  std::span<const kernels::BroCooKernel> bro_coo_kernels(
-      const core::BroCoo& a);
-  std::span<const kernels::BroAnsKernel> bro_ans_kernels(
-      const core::BroAns& a);
-  std::span<const kernels::BroBcsrKernel> bro_bcsr_kernels(
-      const core::BroBcsr& a);
+  template <typename Rep>
+  std::span<const KernelFor<Rep>> kernel_table(const Rep& a) {
+    return std::get<KernelCache<Rep, KernelFor<Rep>>>(kernel_caches_)
+        .get(a, kernels::active_simd_isa(), allocations_);
+  }
 
   /// Number of (re)allocations performed so far.
   std::size_t allocations() const { return allocations_; }
@@ -96,18 +131,10 @@ class Workspace {
   const sparse::Coo* ranges_for_ = nullptr;
   std::size_t ranges_nnz_ = 0;
   int ranges_threads_ = 0;
-  std::vector<kernels::BroEllKernel> ell_kernels_;
-  const core::BroEll* ell_kernels_for_ = nullptr;
-  kernels::SimdIsa ell_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroCooKernel> coo_kernels_;
-  const core::BroCoo* coo_kernels_for_ = nullptr;
-  kernels::SimdIsa coo_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroAnsKernel> ans_kernels_;
-  const core::BroAns* ans_kernels_for_ = nullptr;
-  kernels::SimdIsa ans_kernels_isa_ = kernels::SimdIsa::kScalar;
-  std::vector<kernels::BroBcsrKernel> bcsr_kernels_;
-  const core::BroBcsr* bcsr_kernels_for_ = nullptr;
-  kernels::SimdIsa bcsr_kernels_isa_ = kernels::SimdIsa::kScalar;
+  template <typename... Reps>
+  using KernelCaches = std::tuple<KernelCache<Reps, KernelFor<Reps>>...>;
+  KernelCaches<core::BroEll, core::BroCoo, core::BroAns, core::BroBcsr>
+      kernel_caches_;
   std::size_t allocations_ = 0;
 };
 

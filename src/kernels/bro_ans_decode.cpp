@@ -2,8 +2,8 @@
 // format's counterpart of the dispatch half of bro_decode.cpp).
 #include "kernels/bro_ans_decode.h"
 
-#include "kernels/bro_decode_simd.h"
 #include "kernels/native_spmv.h"
+#include "kernels/simd_kernels.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -20,12 +20,11 @@ void check_sym_len(int sym_len) {
 BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
   BroAnsKernel k;
-  if (const AnsSimdKernelSet* set = ans_simd_kernel_set(isa)) {
-    k.spmv = sym_len == 32 ? set->spmv32 : set->spmv64;
-    if (k.spmv) {
-      k.isa = set->isa;
-      return k;
-    }
+  const IsaKernels* set = isa_kernels(isa);
+  if (set != nullptr && sym_len == 32 && set->ans_spmv32 != nullptr) {
+    k.spmv = set->ans_spmv32;
+    k.isa = isa;
+    return k;
   }
   k.spmv = sym_len == 32 ? &detail::bro_ans_slice_spmv<std::uint32_t>
                          : &detail::bro_ans_slice_spmv<std::uint64_t>;
@@ -40,26 +39,9 @@ BroAnsKernel generic_bro_ans_kernel(int sym_len) {
   return k;
 }
 
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a) {
-  return plan_bro_ans_kernels(a, active_simd_isa());
-}
-
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
-                                               SimdIsa isa) {
+std::vector<BroAnsKernel> plan_kernels(const core::BroAns& a, SimdIsa isa) {
   const BroAnsKernel k = select_bro_ans_kernel(a.options().sym_len, isa);
   return std::vector<BroAnsKernel>(a.slices().size(), k);
-}
-
-void native_spmv_bro_ans(const core::BroAns& a, std::span<const value_t> x,
-                         std::span<value_t> y) {
-  BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  const BroAnsKernel k =
-      select_bro_ans_kernel(a.options().sym_len, active_simd_isa());
-  const auto& slices = a.slices();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si)
-    k.spmv(a, slices[si], x, y);
 }
 
 void native_spmv_bro_ans(const core::BroAns& a,
@@ -77,13 +59,9 @@ void native_spmv_bro_ans(const core::BroAns& a,
 void native_spmv_bro_ans_generic(const core::BroAns& a,
                                  std::span<const value_t> x,
                                  std::span<value_t> y) {
-  BRO_CHECK(x.size() >= static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() >= static_cast<std::size_t>(a.rows()));
-  const BroAnsKernel k = generic_bro_ans_kernel(a.options().sym_len);
-  const auto& slices = a.slices();
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < slices.size(); ++si)
-    k.spmv(a, slices[si], x, y);
+  const std::vector<BroAnsKernel> generic(
+      a.slices().size(), generic_bro_ans_kernel(a.options().sym_len));
+  native_spmv_bro_ans(a, generic, x, y);
 }
 
 } // namespace bro::kernels

@@ -9,8 +9,8 @@
 // state — so the scalar kernels here run several fully independent row
 // chains in flight (instruction-level parallelism), each over its own lane
 // of the group stream plus a 4 KiB (L1-resident) decode-table lookup per
-// symbol. The vectorized counterparts live behind the AnsSimdKernelSet
-// seam (bro_ans_decode_simd_impl.h). Per-row floating-point accumulation
+// symbol. The vectorized counterparts live behind the IsaKernels seam
+// (simd_kernels.h, bro_ans_decode_simd_impl.h). Per-row floating-point accumulation
 // stays in column order everywhere, so results are bitwise identical to
 // the sequential reference decoder by construction — the property the
 // differential fuzzer pins.

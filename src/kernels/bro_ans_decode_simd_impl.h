@@ -1,11 +1,10 @@
 // Vectorized BRO-ANS entropy decode, included once per ISA translation
-// unit (bro_ans_decode_sse4.cpp / bro_ans_decode_avx2.cpp).
+// unit (simd_sse4.cpp / simd_avx2.cpp); only the AVX2 TU gets kernels.
 //
-// The including TU defines
-//   BRO_SIMD_NS   — the namespace for this ISA's kernels (e.g. ans_avx2)
-//   BRO_SIMD_ISA  — the matching ::bro::kernels::SimdIsa enumerator
-// and is compiled with exactly that ISA's target flag plus -ffp-contract=off
-// (src/kernels/CMakeLists.txt), never -march=native.
+// The including TU defines BRO_SIMD_NS — the namespace for this ISA's
+// kernels (e.g. simd_avx2) — and is compiled with exactly that ISA's target
+// flag plus -ffp-contract=off (src/kernels/CMakeLists.txt), never
+// -march=native. The kernels live in BRO_SIMD_NS::ans.
 //
 // ODR rule, as in bro_decode_simd_impl.h: stay self-contained. The scalar
 // chain below is a local copy of detail::AnsChain (bro_ans_decode.h), NOT
@@ -32,11 +31,11 @@
 // sequential reference, the property the differential fuzzer and the
 // dispatch parity tests pin.
 //
-// SSE4 has neither gathers nor per-lane variable shifts, so its
-// contribution is chain count, not vector unpacking: all 8 chains of a
-// lane group in flight (the baseline keeps 4), compiled under -msse4.2.
-// 64-bit stream symbols stay on the baseline scalar path (spmv64 is null;
-// dispatch falls back to the 4-chain ILP kernel).
+// SSE4 has neither gathers nor per-lane variable shifts, so there is no
+// SSE4 tier: all it could add is more interleaved scalar chains, which
+// measured slower than the baseline 4-chain kernel on decode alone
+// (EXPERIMENTS.md records the SpMV trade). SSE4 hosts and 64-bit stream
+// symbols run the baseline 4-chain ILP kernel.
 
 #include <immintrin.h>
 
@@ -47,10 +46,12 @@
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
 #include "core/bro_ans.h"
-#include "kernels/bro_decode_simd.h"
+#include "kernels/simd_kernels.h"
 
-namespace bro::kernels::BRO_SIMD_NS {
+namespace bro::kernels::BRO_SIMD_NS::ans {
 namespace {
+
+#if defined(__AVX2__)
 
 // ------------------------------------------------ local scalar chain
 // Default-constructible local copy of detail::AnsChain (see ODR rule) so a
@@ -115,8 +116,7 @@ struct Chain {
 };
 
 /// One lane group decoded by up-to-kAnsLaneGroup interleaved scalar chains
-/// — the SSE4 SpMV body and the AVX2 remainder path (partial last group or
-/// zero-slot streams).
+/// — the AVX2 remainder path (partial last group or zero-slot streams).
 inline void ans_group_spmv_chains(const core::BroAns& a,
                                   const core::BroAnsSlice& slice, index_t g,
                                   const value_t* xp, value_t* yp) {
@@ -182,8 +182,6 @@ inline std::uint64_t ans_group_checksum_chains(const core::BroAns& a,
   for (int j = 0; j < gw; ++j) sum += acc[j];
   return sum;
 }
-
-#if defined(__AVX2__)
 
 // ------------------------------------------------ AVX2 vector group
 // All eight ANS states of one full lane group as 8 x u32 vectors. The bit
@@ -554,57 +552,19 @@ std::uint64_t ans_slice_checksum_vec(const core::BroAns& a,
   return total;
 }
 
-#else // !__AVX2__ — the SSE4 TU: interleaved scalar chains
-
-void ans_slice_spmv_chains8(const core::BroAns& a,
-                            const core::BroAnsSlice& slice,
-                            std::span<const value_t> x,
-                            std::span<value_t> y) {
-  const std::size_t first = static_cast<std::size_t>(slice.first_row);
-  if (slice.num_col == 0) {
-    for (index_t t = 0; t < slice.height; ++t)
-      y[first + static_cast<std::size_t>(t)] = 0;
-    return;
-  }
-  const index_t num_groups = core::ans_num_groups(slice.height);
-  for (index_t g = 0; g < num_groups; ++g)
-    ans_group_spmv_chains(a, slice, g, x.data(), y.data());
+// This header's entries of the TU's IsaKernels table. 64-bit symbol
+// streams stay null: dispatch falls back to the baseline 4-chain kernel.
+constexpr void add_kernels(IsaKernels& k) {
+  k.ans_spmv32 = &ans_slice_spmv_vec;
+  k.ans_checksum32 = &ans_slice_checksum_vec;
 }
 
-std::uint64_t ans_slice_checksum_chains8(const core::BroAns& a,
-                                         const core::BroAnsSlice& slice) {
-  if (slice.num_col == 0) return 0;
-  std::uint64_t total = 0;
-  const index_t num_groups = core::ans_num_groups(slice.height);
-  for (index_t g = 0; g < num_groups; ++g)
-    total += ans_group_checksum_chains(a, slice, g);
-  return total;
-}
+#else
+
+// No tier below AVX2 (see the header comment): the table keeps its nulls.
+constexpr void add_kernels(IsaKernels&) {}
 
 #endif
 
 } // namespace
-
-// The set this TU contributes, constant-initialized so the baseline-ABI
-// dispatch code can read the exported pointer without running any code
-// compiled at this ISA. 64-bit symbol streams stay null: dispatch falls
-// back to the baseline 4-chain scalar kernel.
-#if defined(__AVX2__)
-constexpr AnsSimdKernelSet kAnsKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .spmv32 = &ans_slice_spmv_vec,
-    .spmv64 = nullptr,
-    .checksum32 = &ans_slice_checksum_vec,
-    .checksum64 = nullptr,
-};
-#else
-constexpr AnsSimdKernelSet kAnsKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .spmv32 = &ans_slice_spmv_chains8,
-    .spmv64 = nullptr,
-    .checksum32 = &ans_slice_checksum_chains8,
-    .checksum64 = nullptr,
-};
-#endif
-
-} // namespace bro::kernels::BRO_SIMD_NS
+} // namespace bro::kernels::BRO_SIMD_NS::ans

@@ -5,6 +5,7 @@
 
 #include "bits/bitwidth.h"
 #include "bits/delta.h"
+#include "kernels/simd_kernels.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -209,44 +210,25 @@ int bcsr_shape_index(int br, int bc) {
   return -1;
 }
 
-const BcsrSimdKernelSet* bcsr_simd_kernel_set(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kSse4: return detail::kBcsrSimdSetSse4;
-    case SimdIsa::kAvx2: return detail::kBcsrSimdSetAvx2;
-    case SimdIsa::kScalar: break;
-  }
-  return nullptr;
-}
-
-BroBcsrKernel select_bro_bcsr_kernel(const core::BroBcsr& a, SimdIsa isa) {
+std::vector<BroBcsrKernel> plan_kernels(const core::BroBcsr& a, SimdIsa isa) {
   const int sym_len = a.options().sym_len;
   const int shape = bcsr_shape_index(a.block_r(), a.block_c());
   BroBcsrKernel k = sym_len == 32 ? scalar_kernel_for<std::uint32_t>(shape)
                                   : scalar_kernel_for<std::uint64_t>(shape);
-  if (isa == SimdIsa::kScalar || shape < 0) return k;
-  const BcsrSimdKernelSet* set = bcsr_simd_kernel_set(isa);
-  if (set == nullptr) return k;
-  const auto fn = sym_len == 32 ? set->spmv32[shape] : set->spmv64[shape];
+  const IsaKernels* set = shape < 0 ? nullptr : isa_kernels(isa);
+  const auto fn = set == nullptr ? nullptr
+                  : sym_len == 32 ? set->bcsr_spmv32[shape]
+                                  : set->bcsr_spmv64[shape];
   if (fn != nullptr) {
     k.spmv = fn;
     k.isa = isa;
   }
-  return k;
+  return std::vector<BroBcsrKernel>(a.slices().size(), k);
 }
 
 BroBcsrKernel generic_bro_bcsr_kernel(int sym_len) {
   return sym_len == 32 ? make_scalar_kernel<std::uint32_t, -1, -1>()
                        : make_scalar_kernel<std::uint64_t, -1, -1>();
-}
-
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a,
-                                                 SimdIsa isa) {
-  return std::vector<BroBcsrKernel>(a.slices().size(),
-                                    select_bro_bcsr_kernel(a, isa));
-}
-
-std::vector<BroBcsrKernel> plan_bro_bcsr_kernels(const core::BroBcsr& a) {
-  return plan_bro_bcsr_kernels(a, active_simd_isa());
 }
 
 void native_spmv_bro_bcsr(const core::BroBcsr& a,
@@ -260,23 +242,12 @@ void native_spmv_bro_bcsr(const core::BroBcsr& a,
     kernels[si].spmv(a, si, x, y);
 }
 
-void native_spmv_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  const BroBcsrKernel k = select_bro_bcsr_kernel(a, active_simd_isa());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < a.slices().size(); ++si) k.spmv(a, si, x, y);
-}
-
 void native_spmv_bro_bcsr_generic(const core::BroBcsr& a,
                                   std::span<const value_t> x,
                                   std::span<value_t> y) {
-  BRO_CHECK(x.size() == static_cast<std::size_t>(a.cols()));
-  BRO_CHECK(y.size() == static_cast<std::size_t>(a.rows()));
-  const BroBcsrKernel k = generic_bro_bcsr_kernel(a.options().sym_len);
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < a.slices().size(); ++si) k.spmv(a, si, x, y);
+  const std::vector<BroBcsrKernel> generic(
+      a.slices().size(), generic_bro_bcsr_kernel(a.options().sym_len));
+  native_spmv_bro_bcsr(a, generic, x, y);
 }
 
 void native_spmm_bro_bcsr(const core::BroBcsr& a,
@@ -292,19 +263,6 @@ void native_spmm_bro_bcsr(const core::BroBcsr& a,
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::size_t si = 0; si < kernels.size(); ++si)
     kernels[si].spmm(a, si, x, y, k);
-}
-
-void native_spmm_bro_bcsr(const core::BroBcsr& a, std::span<const value_t> x,
-                          std::span<value_t> y, int k) {
-  BRO_CHECK(k > 0);
-  BRO_CHECK(x.size() ==
-            static_cast<std::size_t>(a.cols()) * static_cast<std::size_t>(k));
-  BRO_CHECK(y.size() ==
-            static_cast<std::size_t>(a.rows()) * static_cast<std::size_t>(k));
-  const BroBcsrKernel kn = select_bro_bcsr_kernel(a, active_simd_isa());
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t si = 0; si < a.slices().size(); ++si)
-    kn.spmm(a, si, x, y, k);
 }
 
 } // namespace bro::kernels

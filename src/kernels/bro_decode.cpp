@@ -3,8 +3,8 @@
 //
 // ISA layering: the scalar tables below are always present and are what
 // generic_bro_*_kernel exposes as the parity baseline. When the active ISA
-// carries a compiled-in SIMD kernel set (bro_decode_simd.h), selection
-// returns that set's runtime-width kernel instead — for specialized AND
+// carries a compiled-in SIMD kernel table (simd_kernels.h), selection
+// returns that table's runtime-width kernel instead — for specialized AND
 // mixed-width slices alike, since the vector shift count is a register
 // operand. The width field keeps its informational meaning (uniform width
 // or -1) either way, so selection-rule tests and diagnostics are
@@ -13,8 +13,8 @@
 #include <utility>
 
 #include "kernels/bro_decode.h"
-#include "kernels/bro_decode_simd.h"
 #include "kernels/native_spmv.h"
+#include "kernels/simd_kernels.h"
 #include "util/error.h"
 
 namespace bro::kernels {
@@ -91,12 +91,14 @@ BroCooKernel generic_bro_coo_kernel(int sym_len) {
   return sym_len == 32 ? kCooGeneric32 : kCooGeneric64;
 }
 
+namespace {
+
 BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
                                    int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
   const int w = uniform_width(slice);
   if (isa != SimdIsa::kScalar) {
-    if (const SimdKernelSet* set = simd_kernel_set(isa)) {
+    if (const IsaKernels* set = isa_kernels(isa)) {
       BroEllKernel k;
       k.width = w >= 0 && w <= kMaxSpecializedDecodeWidth ? w : -1;
       k.spmv = sym_len == 32 ? set->ell_spmv32 : set->ell_spmv64;
@@ -115,7 +117,7 @@ BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
                                    int sym_len, SimdIsa isa) {
   check_sym_len(sym_len);
   if (isa != SimdIsa::kScalar) {
-    if (const SimdKernelSet* set = simd_kernel_set(isa)) {
+    if (const IsaKernels* set = isa_kernels(isa)) {
       BroCooKernel k;
       k.width =
           iv.bits >= 0 && iv.bits <= kMaxSpecializedDecodeWidth ? iv.bits
@@ -132,18 +134,9 @@ BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
                        : kCoo64[static_cast<std::size_t>(iv.bits)];
 }
 
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len) {
-  return select_bro_ell_kernel(slice, sym_len, active_simd_isa());
-}
+} // namespace
 
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len) {
-  return select_bro_coo_kernel(iv, sym_len, active_simd_isa());
-}
-
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
-                                               SimdIsa isa) {
+std::vector<BroEllKernel> plan_kernels(const core::BroEll& a, SimdIsa isa) {
   std::vector<BroEllKernel> kernels;
   kernels.reserve(a.slices().size());
   for (const auto& slice : a.slices())
@@ -151,21 +144,12 @@ std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
   return kernels;
 }
 
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
-                                               SimdIsa isa) {
+std::vector<BroCooKernel> plan_kernels(const core::BroCoo& a, SimdIsa isa) {
   std::vector<BroCooKernel> kernels;
   kernels.reserve(a.intervals().size());
   for (const auto& iv : a.intervals())
     kernels.push_back(select_bro_coo_kernel(iv, a.options().sym_len, isa));
   return kernels;
-}
-
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a) {
-  return plan_bro_ell_kernels(a, active_simd_isa());
-}
-
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a) {
-  return plan_bro_coo_kernels(a, active_simd_isa());
 }
 
 } // namespace bro::kernels

@@ -1,10 +1,11 @@
-// Vectorized BRO decode kernels, included once per ISA translation unit.
+// Vectorized BRO-ELL / BRO-COO decode kernels, included once per ISA
+// translation unit (simd_sse4.cpp / simd_avx2.cpp).
 //
-// The including TU defines
-//   BRO_SIMD_NS   — the namespace for this ISA's kernels (e.g. simd_avx2)
-//   BRO_SIMD_ISA  — the matching ::bro::kernels::SimdIsa enumerator
-// and is compiled with exactly that ISA's target flag plus -ffp-contract=off
-// (src/kernels/CMakeLists.txt), never -march=native.
+// The including TU defines BRO_SIMD_NS — the namespace for this ISA's
+// kernels (e.g. simd_avx2) — and is compiled with exactly that ISA's target
+// flag plus -ffp-contract=off (src/kernels/CMakeLists.txt), never
+// -march=native. The kernels live in BRO_SIMD_NS::ell_coo so the other
+// *_simd_impl.h headers the same TU includes cannot collide with them.
 //
 // ODR rule for this file: stay self-contained. Do NOT instantiate the
 // kernel/decoder templates from bro_decode.h (or any other non-trivial
@@ -34,9 +35,9 @@
 #include "core/bro_coo.h"
 #include "core/bro_ell.h"
 #include "kernels/bro_decode.h" // constexpr cutoffs only — see ODR rule above
-#include "kernels/bro_decode_simd.h"
+#include "kernels/simd_kernels.h"
 
-namespace bro::kernels::BRO_SIMD_NS {
+namespace bro::kernels::BRO_SIMD_NS::ell_coo {
 namespace {
 
 // Vector-op shims: the kernels below are written once against this
@@ -576,23 +577,19 @@ std::uint64_t stream_checksum(const SymT* stream, std::size_t lanes,
   return total;
 }
 
+// This header's entries of the TU's IsaKernels table.
+constexpr void add_kernels(IsaKernels& k) {
+  k.ell_spmv32 = &ell_slice_spmv<std::uint32_t, VecU32>;
+  k.ell_spmv64 = &ell_slice_spmv<std::uint64_t, VecU64>;
+  k.ell_spmm32 = &ell_slice_spmm<std::uint32_t, VecU32>;
+  k.ell_spmm64 = &ell_slice_spmm<std::uint64_t, VecU64>;
+  k.coo_spmv32 = &coo_interval_spmv<std::uint32_t, VecU32>;
+  k.coo_spmv64 = &coo_interval_spmv<std::uint64_t, VecU64>;
+  k.coo_spmm32 = &coo_interval_spmm<std::uint32_t, VecU32>;
+  k.coo_spmm64 = &coo_interval_spmm<std::uint64_t, VecU64>;
+  k.checksum32 = &stream_checksum<std::uint32_t, VecU32>;
+  k.checksum64 = &stream_checksum<std::uint64_t, VecU64>;
+}
+
 } // namespace
-
-// The set this TU contributes, constant-initialized so the baseline-ABI
-// dispatch code can read the exported pointer without running any code
-// compiled at this ISA.
-constexpr SimdKernelSet kKernelSet{
-    .isa = BRO_SIMD_ISA,
-    .ell_spmv32 = &ell_slice_spmv<std::uint32_t, VecU32>,
-    .ell_spmv64 = &ell_slice_spmv<std::uint64_t, VecU64>,
-    .ell_spmm32 = &ell_slice_spmm<std::uint32_t, VecU32>,
-    .ell_spmm64 = &ell_slice_spmm<std::uint64_t, VecU64>,
-    .coo_spmv32 = &coo_interval_spmv<std::uint32_t, VecU32>,
-    .coo_spmv64 = &coo_interval_spmv<std::uint64_t, VecU64>,
-    .coo_spmm32 = &coo_interval_spmm<std::uint32_t, VecU32>,
-    .coo_spmm64 = &coo_interval_spmm<std::uint64_t, VecU64>,
-    .checksum32 = &stream_checksum<std::uint32_t, VecU32>,
-    .checksum64 = &stream_checksum<std::uint64_t, VecU64>,
-};
-
-} // namespace bro::kernels::BRO_SIMD_NS
+} // namespace bro::kernels::BRO_SIMD_NS::ell_coo

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "kernels/bro_decode_simd.h"
+#include "kernels/simd_kernels.h"
 
 namespace bro::kernels {
 
@@ -46,23 +46,14 @@ CpuFeatures cpu_features() {
 }
 
 bool simd_isa_compiled(SimdIsa isa) {
-  return isa == SimdIsa::kScalar || simd_kernel_set(isa) != nullptr;
+  return isa == SimdIsa::kScalar || isa_kernels(isa) != nullptr;
 }
 
-const SimdKernelSet* simd_kernel_set(SimdIsa isa) {
+const IsaKernels* isa_kernels(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar: return nullptr;
-    case SimdIsa::kSse4: return detail::kSimdSetSse4;
-    case SimdIsa::kAvx2: return detail::kSimdSetAvx2;
-  }
-  return nullptr;
-}
-
-const AnsSimdKernelSet* ans_simd_kernel_set(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kScalar: return nullptr;
-    case SimdIsa::kSse4: return detail::kAnsSimdSetSse4;
-    case SimdIsa::kAvx2: return detail::kAnsSimdSetAvx2;
+    case SimdIsa::kSse4: return detail::kIsaKernelsSse4;
+    case SimdIsa::kAvx2: return detail::kIsaKernelsAvx2;
   }
   return nullptr;
 }

@@ -2,9 +2,9 @@
 // kernels.
 //
 // The library is built without -march=native: every translation unit targets
-// the baseline ABI except the two per-ISA kernel TUs (bro_decode_sse4.cpp,
-// bro_decode_avx2.cpp), which are compiled with exactly their own target
-// flag. Which of those kernel sets actually runs is decided here, once, at
+// the baseline ABI except the two per-ISA kernel TUs (simd_sse4.cpp,
+// simd_avx2.cpp), which are compiled with exactly their own target flag.
+// Which of those kernel tables actually runs is decided here, once, at
 // run time: the hardware probe (cpu_features), the link-time availability
 // check (simd_isa_compiled — the per-ISA TUs collapse to stubs when the
 // toolchain cannot target x86) and the BRO_SIMD env override meet in
@@ -22,7 +22,7 @@ namespace bro::kernels {
 /// increasing capability order (resolution clamps a request downward, so the
 /// enum order is load-bearing).
 enum class SimdIsa : int {
-  kScalar = 0, // baseline-ABI kernels from bro_decode.h
+  kScalar = 0, // baseline-ABI kernels
   kSse4 = 1,   // 128-bit lanes (4 x u32 / 2 x u64)
   kAvx2 = 2,   // 256-bit lanes (8 x u32 / 4 x u64)
 };

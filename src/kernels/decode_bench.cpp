@@ -16,8 +16,8 @@
 #include "kernels/bro_ans_decode.h"
 #include "kernels/bro_bcsr_decode.h"
 #include "kernels/bro_decode.h"
-#include "kernels/bro_decode_simd.h"
 #include "kernels/native_spmv.h"
+#include "kernels/simd_kernels.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
 #include "sparse/matgen/suite.h"
@@ -48,36 +48,6 @@ constexpr auto checksum_table(std::index_sequence<Ws...>) {
 using Widths = std::make_index_sequence<kMaxSpecializedDecodeWidth + 1>;
 constexpr auto kChecksum32 = checksum_table<std::uint32_t>(Widths{});
 constexpr auto kChecksum64 = checksum_table<std::uint64_t>(Widths{});
-
-/// The pre-packing decode loop: runtime bit width AND runtime symbol length
-/// over one-uint64-per-symbol storage (each symbol right-aligned in its
-/// slot), exactly what the old MuxedStream forced on sym_len=32 streams.
-std::uint64_t legacy_lane_checksum(const std::uint64_t* slots,
-                                   std::size_t stride, std::size_t lane,
-                                   std::size_t count, int b, int sym_len) {
-  const std::uint64_t* next_load = slots + lane;
-  std::uint64_t sym = 0;
-  int rb = 0;
-  std::uint64_t sum = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    std::uint64_t d;
-    if (b <= rb) {
-      d = (sym >> (rb - b)) & bits::max_value_for_bits(b);
-      rb -= b;
-    } else {
-      const int high = rb;
-      d = high > 0 ? (sym & bits::max_value_for_bits(high)) : 0;
-      sym = *next_load;
-      next_load += stride;
-      const int low = b - high;
-      d = (d << low) |
-          ((sym >> (sym_len - low)) & bits::max_value_for_bits(low));
-      rb = sym_len - low;
-    }
-    sum += d;
-  }
-  return sum;
-}
 
 } // namespace
 
@@ -112,15 +82,12 @@ DecodeBenchCase make_decode_bench_case(int width, int sym_len,
     bs.pad_to_multiple(sym_len);
   }
   c.stream = bits::MuxedStream::interleave(rows, sym_len);
-  c.legacy_slots.resize(c.stream.total_symbols());
-  for (std::size_t i = 0; i < c.legacy_slots.size(); ++i)
-    c.legacy_slots[i] = c.stream[i];
   c.widths.assign(deltas_per_lane, static_cast<std::uint8_t>(width));
   return c;
 }
 
 std::uint64_t simd_decode_pass(const DecodeBenchCase& c, SimdIsa isa) {
-  const SimdKernelSet* set = simd_kernel_set(isa);
+  const IsaKernels* set = isa_kernels(isa);
   BRO_CHECK_MSG(set != nullptr && simd_isa_runnable(isa),
                 "SIMD ISA " << simd_isa_name(isa)
                             << " is not runnable in this process");
@@ -163,12 +130,6 @@ std::uint64_t decode_pass(const DecodeBenchCase& c, DecodeVariant variant) {
                                               detail::kGenericWidth>(
               stream, stride, lane, c.deltas_per_lane, c.width);
       }
-      break;
-    }
-    case DecodeVariant::kLegacySlots: {
-      for (std::size_t lane = 0; lane < c.lanes; ++lane)
-        sum += legacy_lane_checksum(c.legacy_slots.data(), stride, lane,
-                                    c.deltas_per_lane, c.width, c.sym_len);
       break;
     }
   }
@@ -245,8 +206,6 @@ std::vector<DecodeThroughputRow> decode_throughput_sweep(
         time_variant(c, DecodeVariant::kSpecialized, min_seconds_per_cell);
     row.generic_gdps =
         time_variant(c, DecodeVariant::kGeneric, min_seconds_per_cell);
-    row.legacy_gdps =
-        time_variant(c, DecodeVariant::kLegacySlots, min_seconds_per_cell);
     if (simd_isa_runnable(SimdIsa::kSse4))
       row.sse4_gdps = time_simd(c, SimdIsa::kSse4, min_seconds_per_cell);
     if (simd_isa_runnable(SimdIsa::kAvx2))
@@ -300,7 +259,7 @@ std::uint64_t scalar_slices_checksum(std::span<const core::BroEllSlice> slices,
 }
 
 std::uint64_t simd_slices_checksum(std::span<const core::BroEllSlice> slices,
-                                   int sym_len, const SimdKernelSet& set) {
+                                   int sym_len, const IsaKernels& set) {
   std::uint64_t sum = 0;
   for (const auto& s : slices) {
     if (s.height <= 0 || s.num_col <= 0) continue;
@@ -321,7 +280,7 @@ std::uint64_t scalar_ell_checksum(const core::BroEll& a) {
 }
 
 std::uint64_t simd_ell_checksum(const core::BroEll& a,
-                                const SimdKernelSet& set) {
+                                const IsaKernels& set) {
   return simd_slices_checksum(a.slices(), a.options().sym_len, set);
 }
 
@@ -329,7 +288,7 @@ std::uint64_t simd_ell_checksum(const core::BroEll& a,
 
 std::vector<EllSuiteDecodeRow> ell_suite_decode_sweep(
     SimdIsa isa, double scale, double min_seconds_per_cell) {
-  const SimdKernelSet* set = simd_kernel_set(isa);
+  const IsaKernels* set = isa_kernels(isa);
   BRO_CHECK_MSG(set != nullptr && simd_isa_runnable(isa),
                 "SIMD ISA " << simd_isa_name(isa)
                             << " is not runnable in this process");
@@ -420,8 +379,8 @@ std::vector<EntropySuiteRow> entropy_suite_sweep(
     // the same padded delta sequence, so the output vectors must match
     // bitwise; fold y's bit pattern into the pass checksum to pin that
     // every pass.
-    const auto ell_kernels = plan_bro_ell_kernels(fixed, isa);
-    const auto ans_kernels = plan_bro_ans_kernels(coded, isa);
+    const auto ell_kernels = plan_kernels(fixed, isa);
+    const auto ans_kernels = plan_kernels(coded, isa);
     std::vector<value_t> x(static_cast<std::size_t>(csr.cols));
     for (std::size_t i = 0; i < x.size(); ++i)
       x[i] = 1.0 + static_cast<value_t>(i % 16) * 0.0625;
@@ -509,7 +468,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
       return h;
     };
 
-    const auto ell_kernels = plan_bro_ell_kernels(ell, isa);
+    const auto ell_kernels = plan_kernels(ell, isa);
     const auto ell_pass = [&] {
       const auto& slices = ell.slices();
       for (std::size_t si = 0; si < slices.size(); ++si)
@@ -517,8 +476,8 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
       return fold_y();
     };
 
-    const auto bcsr_scalar = plan_bro_bcsr_kernels(bcsr, SimdIsa::kScalar);
-    const auto bcsr_kernels = plan_bro_bcsr_kernels(bcsr, isa);
+    const auto bcsr_scalar = plan_kernels(bcsr, SimdIsa::kScalar);
+    const auto bcsr_kernels = plan_kernels(bcsr, isa);
     const auto bcsr_pass_with = [&](const std::vector<BroBcsrKernel>& ks) {
       for (std::size_t si = 0; si < ks.size(); ++si)
         ks[si].spmv(bcsr, si, x, y);
@@ -538,8 +497,7 @@ std::vector<BlockSuiteRow> block_suite_sweep(SimdIsa isa, double scale,
     // path at `isa`. BCSR block-index slices share BRO-ELL's layout, so
     // both sides run the identical decode machinery — the difference is
     // purely how many symbols each format stores per matrix row.
-    const SimdKernelSet* set =
-        isa == SimdIsa::kScalar ? nullptr : simd_kernel_set(isa);
+    const IsaKernels* set = isa_kernels(isa);
     const auto ell_decode = [&] {
       return set ? simd_slices_checksum(ell.slices(), ell.options().sym_len,
                                         *set)
@@ -616,8 +574,8 @@ AnsDecodeBenchCase make_ans_decode_bench_case(int sym_len, index_t nrows,
 std::uint64_t ans_decode_pass(const AnsDecodeBenchCase& c, SimdIsa isa) {
   const core::BroAns& a = *c.coded;
   const bool w32 = a.options().sym_len == 32;
-  const AnsSimdKernelSet* set = ans_simd_kernel_set(isa);
-  const auto vec = set ? (w32 ? set->checksum32 : set->checksum64) : nullptr;
+  const IsaKernels* set = isa_kernels(isa);
+  const auto vec = set && w32 ? set->ans_checksum32 : nullptr;
   std::uint64_t sum = 0;
   for (const auto& s : a.slices()) {
     if (s.height <= 0 || s.num_col <= 0) continue;
@@ -649,8 +607,8 @@ std::uint64_t bcsr_decode_pass(const BcsrDecodeBenchCase& c, SimdIsa isa) {
   const core::BroBcsr& a = *c.coded;
   if (isa == SimdIsa::kScalar)
     return scalar_slices_checksum(a.slices(), a.options().sym_len);
-  const SimdKernelSet* set = simd_kernel_set(isa);
-  BRO_CHECK_MSG(set != nullptr, "no SIMD kernel set for "
+  const IsaKernels* set = isa_kernels(isa);
+  BRO_CHECK_MSG(set != nullptr, "no SIMD kernel table for "
                                     << simd_isa_name(isa));
   return simd_slices_checksum(a.slices(), a.options().sym_len, *set);
 }

@@ -1,8 +1,7 @@
 // Decode-throughput microbenchmark support: synthetic BRO symbol streams and
-// a single-pass decode driver over the three decoder variants the PR's perf
-// claim compares — width-specialized over packed storage, runtime-width
-// (generic) over packed storage, and runtime-width over the legacy
-// one-uint64-per-symbol slot layout. Shared by bench_decode_throughput (the
+// a single-pass decode driver over the scalar decoder variants —
+// width-specialized and runtime-width (generic), both over packed storage —
+// plus the per-ISA SIMD checksum kernels. Shared by bench_decode_throughput (the
 // google-benchmark binary) and `brospmv bench --decode` (the self-timed
 // table) so both report the same inner loops.
 #pragma once
@@ -22,15 +21,13 @@ namespace bro::kernels {
 
 /// One synthetic decode workload: `lanes` lanes of `deltas_per_lane` deltas,
 /// every delta `width` bits, multiplexed exactly like a BRO-ELL slice /
-/// BRO-COO interval stream. Held both in the current packed storage and in a
-/// copy of the legacy one-uint64-per-symbol layout.
+/// BRO-COO interval stream.
 struct DecodeBenchCase {
   int width = 1;
   int sym_len = 32;
   std::size_t lanes = 0;
   std::size_t deltas_per_lane = 0;
   bits::MuxedStream stream;
-  std::vector<std::uint64_t> legacy_slots; // symbol i right-aligned in slot i
   std::vector<std::uint8_t> widths; // per-column widths (all == width), the
                                     // form the SIMD checksum kernels take
 };
@@ -43,7 +40,6 @@ DecodeBenchCase make_decode_bench_case(int width, int sym_len,
 enum class DecodeVariant {
   kSpecialized, // width-templated kernel, packed storage (dispatch choice)
   kGeneric,     // runtime-width kernel, packed storage
-  kLegacySlots, // runtime-width decode over one-uint64-per-symbol storage
 };
 
 /// One full decode pass over every lane. Returns the sum of all decoded
@@ -71,7 +67,6 @@ struct DecodeThroughputRow {
   int sym_len = 0;
   double specialized_gdps = 0;
   double generic_gdps = 0;
-  double legacy_gdps = 0;
   double sse4_gdps = std::numeric_limits<double>::quiet_NaN();
   double avx2_gdps = std::numeric_limits<double>::quiet_NaN();
 };

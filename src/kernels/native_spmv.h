@@ -10,8 +10,10 @@
 // per BRO-ELL slice / BRO-COO interval: a slice whose bit_alloc is constant
 // across columns (the common post-BAR case) or an interval (always a single
 // width) dispatches to the specialized kernel; everything else falls back to
-// the generic decoder. plan_bro_*_kernels() materializes that choice once at
-// SpmvPlan build time so execute() stays branch- and allocation-free.
+// the generic decoder. plan_kernels() materializes that choice once at
+// SpmvPlan build time so execute() stays branch- and allocation-free; the
+// BRO entry points here take only those plan tables, never selecting
+// kernels themselves.
 #pragma once
 
 #include <span>
@@ -38,8 +40,7 @@ struct CooRange {
 /// stream: boundaries are placed by entry count and snapped forward to the
 /// next row change, so every part owns complete rows and parallel
 /// accumulation into y is race-free. The single definition of the snap rule
-/// shared by coo_thread_ranges, native_spmv_coo's inline split and the HYB
-/// overflow path.
+/// behind coo_thread_ranges.
 CooRange coo_entry_range(const sparse::Coo& a, std::size_t part,
                          std::size_t parts);
 
@@ -105,38 +106,22 @@ struct BroAnsKernel {
   SimdIsa isa = SimdIsa::kScalar;
 };
 
-/// Per-slice / per-interval kernel selection (the plan-time step). The
-/// returned vectors are index-aligned with slices() / intervals(). The
-/// overloads without an ISA parameter use active_simd_isa() — the BRO_SIMD
-/// override and host capability are folded in exactly once, here; execute()
-/// runs whatever the table says with no further branching.
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a);
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a);
-std::vector<BroEllKernel> plan_bro_ell_kernels(const core::BroEll& a,
-                                               SimdIsa isa);
-std::vector<BroCooKernel> plan_bro_coo_kernels(const core::BroCoo& a,
-                                               SimdIsa isa);
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a);
-std::vector<BroAnsKernel> plan_bro_ans_kernels(const core::BroAns& a,
-                                               SimdIsa isa);
-
-/// Selection for a single slice / interval (what plan_bro_*_kernels applies
-/// per element; exposed for tests and the table-free kernel overloads).
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len);
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len);
-BroEllKernel select_bro_ell_kernel(const core::BroEllSlice& slice,
-                                   int sym_len, SimdIsa isa);
-BroCooKernel select_bro_coo_kernel(const core::BroCooInterval& iv,
-                                   int sym_len, SimdIsa isa);
+/// Per-slice / per-interval kernel selection at `isa` (the plan-time step;
+/// callers pass active_simd_isa(), so the BRO_SIMD override and host
+/// capability are folded in exactly once, here). The returned tables are
+/// index-aligned with slices() / intervals(); execute() runs whatever the
+/// table says with no further branching. BRO-BCSR's overload lives in
+/// bro_bcsr_decode.h.
+std::vector<BroEllKernel> plan_kernels(const core::BroEll& a, SimdIsa isa);
+std::vector<BroCooKernel> plan_kernels(const core::BroCoo& a, SimdIsa isa);
+std::vector<BroAnsKernel> plan_kernels(const core::BroAns& a, SimdIsa isa);
 
 /// The generic variable-width kernels as a dispatch entry (width -1): the
 /// bitwise-parity baseline the specialized kernels are fuzzed against.
 BroEllKernel generic_bro_ell_kernel(int sym_len);
 BroCooKernel generic_bro_coo_kernel(int sym_len);
 
-/// BRO-ANS slice kernel selection: the SIMD set's entry when the ISA
+/// BRO-ANS slice kernel selection: the ISA table's entry when the ISA
 /// provides one, else the scalar multi-chain kernel. All slices of one
 /// matrix share a symbol length, so selection is per matrix, not per slice.
 BroAnsKernel select_bro_ans_kernel(int sym_len, SimdIsa isa);
@@ -154,29 +139,16 @@ void native_spmv_ell(const sparse::Ell& a, std::span<const value_t> x,
 void native_spmv_ellr(const sparse::EllR& a, std::span<const value_t> x,
                       std::span<value_t> y);
 
-/// COO via per-thread row-range partitioning (entries are row-sorted, so a
-/// balanced split on entry count with boundary fix-up is race-free).
-void native_spmv_coo(const sparse::Coo& a, std::span<const value_t> x,
-                     std::span<value_t> y);
-
 /// COO over pre-computed row-complete ranges (see coo_thread_ranges): the
 /// allocation-free plan path — the split is not recomputed per call.
 void native_spmv_coo(const sparse::Coo& a, std::span<const CooRange> ranges,
                      std::span<const value_t> x, std::span<value_t> y);
-
-void native_spmv_hyb(const sparse::Hyb& a, std::span<const value_t> x,
-                     std::span<value_t> y);
 
 /// HYB with the COO overflow accumulated in parallel over pre-computed
 /// row-complete ranges (the plan path): row-complete chunks touch disjoint
 /// y entries, so the overflow no longer serializes on skewed matrices.
 void native_spmv_hyb(const sparse::Hyb& a, std::span<const CooRange> ranges,
                      std::span<const value_t> x, std::span<value_t> y);
-
-/// BRO-ELL with per-slice kernel selection done inline (table-free
-/// convenience path; selection is a cheap bit_alloc scan per slice).
-void native_spmv_bro_ell(const core::BroEll& a, std::span<const value_t> x,
-                         std::span<value_t> y);
 
 /// BRO-ELL over plan-time kernel choices (kernels aligned with slices()):
 /// the branch-free plan path.
@@ -190,10 +162,6 @@ void native_spmv_bro_ell_generic(const core::BroEll& a,
                                  std::span<const value_t> x,
                                  std::span<value_t> y);
 
-/// BRO-ANS with inline kernel selection (table-free convenience path).
-void native_spmv_bro_ans(const core::BroAns& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
 /// BRO-ANS over plan-time kernel choices (kernels aligned with slices()):
 /// the branch-free plan path.
 void native_spmv_bro_ans(const core::BroAns& a,
@@ -206,16 +174,9 @@ void native_spmv_bro_ans_generic(const core::BroAns& a,
                                  std::span<const value_t> x,
                                  std::span<value_t> y);
 
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-COO with caller-owned carry scratch (>= a.intervals().size() entries)
-/// and inline per-interval kernel selection.
-void native_spmv_bro_coo(const core::BroCoo& a, std::span<const value_t> x,
-                         std::span<value_t> y, std::span<BroCooCarry> carries);
-
-/// BRO-COO over plan-time kernel choices: the allocation- and branch-free
-/// plan path.
+/// BRO-COO over plan-time kernel choices (aligned with intervals()) with
+/// caller-owned carry scratch (>= a.intervals().size() entries): the
+/// allocation- and branch-free plan path.
 void native_spmv_bro_coo(const core::BroCoo& a,
                          std::span<const BroCooKernel> kernels,
                          std::span<const value_t> x, std::span<value_t> y,
@@ -226,18 +187,10 @@ void native_spmv_bro_coo_generic(const core::BroCoo& a,
                                  std::span<const value_t> x,
                                  std::span<value_t> y);
 
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y);
-
-/// BRO-HYB with caller-owned scratch: y_coo (>= y.size()) holds the COO
-/// half's partial result, carries covers the COO half's intervals. Kernel
-/// selection is inline per slice/interval.
-void native_spmv_bro_hyb(const core::BroHyb& a, std::span<const value_t> x,
-                         std::span<value_t> y, std::span<value_t> y_coo,
-                         std::span<BroCooCarry> carries);
-
-/// BRO-HYB over plan-time kernel choices for both halves: the allocation-
-/// and branch-free plan path.
+/// BRO-HYB over plan-time kernel choices for both halves, with
+/// caller-owned scratch: y_coo (>= y.size()) holds the COO half's partial
+/// result, carries covers the COO half's intervals. The allocation- and
+/// branch-free plan path.
 void native_spmv_bro_hyb(const core::BroHyb& a,
                          std::span<const BroEllKernel> ell_kernels,
                          std::span<const BroCooKernel> coo_kernels,

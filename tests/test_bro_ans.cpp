@@ -15,9 +15,10 @@
 #include "core/bro_ans.h"
 #include "core/bro_ell.h"
 #include "core/serialize.h"
-#include "kernels/bro_decode_simd.h"
 #include "kernels/cpu_features.h"
 #include "kernels/native_spmv.h"
+#include "kernels/simd_kernels.h"
+#include "planned_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
@@ -29,6 +30,7 @@ namespace bk = bro::kernels;
 namespace bs = bro::sparse;
 using bro::index_t;
 using bro::value_t;
+using bro::testing::planned_spmv;
 
 namespace {
 
@@ -255,9 +257,9 @@ TEST_P(BroAnsProperty, RoundTripAndSpmv) {
   std::vector<value_t> y_gen(static_cast<std::size_t>(csr.rows));
   std::vector<value_t> y_nat(static_cast<std::size_t>(csr.rows));
   bk::native_spmv_bro_ans_generic(bro, x, y_gen);
-  bk::native_spmv_bro_ans(bro, x, y_nat);
+  planned_spmv(bro, x, y_nat);
   EXPECT_EQ(y_gen, y_nat);
-  const auto kernels = bk::plan_bro_ans_kernels(bro);
+  const auto kernels = bk::plan_kernels(bro, bk::SimdIsa::kScalar);
   std::vector<value_t> y_plan(static_cast<std::size_t>(csr.rows));
   bk::native_spmv_bro_ans(bro, kernels, x, y_plan);
   EXPECT_EQ(y_gen, y_plan);
@@ -328,28 +330,32 @@ TEST(BroAnsSavings, BeatsFixedWidthOnStructuredMatrices) {
 
 // ---- SIMD dispatch parity ----
 
-/// Selection honors the forced ISA when its kernel set carries an SpMV for
-/// the symbol length and falls back to the scalar multi-chain kernel
-/// (tagged kScalar) otherwise — today that is every 64-bit-symbol request.
+/// Selection honors the forced ISA when its kernel table carries an SpMV
+/// for the symbol length and falls back to the scalar multi-chain kernel
+/// (tagged kScalar) otherwise — every 64-bit-symbol request, and every
+/// request at an ISA without gathers (SSE4 has no BRO-ANS tier).
 TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
+  if (const bk::IsaKernels* sse4 = bk::isa_kernels(bk::SimdIsa::kSse4)) {
+    EXPECT_EQ(sse4->ans_spmv32, nullptr);
+    EXPECT_EQ(sse4->ans_checksum32, nullptr);
+  }
   for (const bk::SimdIsa isa : host_isas()) {
     for (const int sym_len : {32, 64}) {
       const bk::BroAnsKernel k = bk::select_bro_ans_kernel(sym_len, isa);
       ASSERT_NE(k.spmv, nullptr);
       EXPECT_EQ(k.width, -1);
-      const bk::AnsSimdKernelSet* set = bk::ans_simd_kernel_set(isa);
-      const bool vec = set != nullptr &&
-                       (sym_len == 32 ? set->spmv32 : set->spmv64) != nullptr;
+      const bk::IsaKernels* set = bk::isa_kernels(isa);
+      const bool vec =
+          set != nullptr && sym_len == 32 && set->ans_spmv32 != nullptr;
       EXPECT_EQ(k.isa, vec ? isa : bk::SimdIsa::kScalar)
           << bk::simd_isa_name(isa) << " sym" << sym_len;
       if (vec) {
-        EXPECT_EQ(k.spmv, sym_len == 32 ? set->spmv32 : set->spmv64);
+        EXPECT_EQ(k.spmv, set->ans_spmv32);
       }
     }
-    bk::ScopedSimdIsa forced(isa);
     const bs::Csr csr = bs::generate_poisson2d(12, 13);
     const auto bro = bc::BroAns::compress(bs::csr_to_ell(csr));
-    const auto kernels = bk::plan_bro_ans_kernels(bro);
+    const auto kernels = bk::plan_kernels(bro, isa);
     ASSERT_EQ(kernels.size(), bro.slices().size());
     for (const auto& k : kernels)
       EXPECT_EQ(k.spmv,
@@ -358,8 +364,8 @@ TEST(AnsSimdParity, SelectionTagsAndScalarFallback) {
 }
 
 /// The adversarial battery swept across every host ISA, both symbol
-/// lengths, and the table_log extremes: the dispatched SpMV (inline and
-/// plan-time selection) must reproduce the single-chain sequential
+/// lengths, and the table_log extremes: the dispatched SpMV (planned at the
+/// forced active ISA and at an explicit ISA) must reproduce the single-chain sequential
 /// decoder bit for bit. Compressions are ISA-independent, so each config
 /// is built once and only the kernel calls sweep the forced ISA — the
 /// shape of test_decode_dispatch's AdversarialParity.
@@ -389,10 +395,10 @@ TEST(AnsSimdParity, AdversarialSweepAcrossIsasTableLogsSymLens) {
 
         for (const bk::SimdIsa isa : isas) {
           bk::ScopedSimdIsa forced(isa);
-          bk::native_spmv_bro_ans(bro, x, y);
+          planned_spmv(bro, x, y);
           expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-          const auto kernels = bk::plan_bro_ans_kernels(bro);
+          const auto kernels = bk::plan_kernels(bro, isa);
           bk::native_spmv_bro_ans(bro, kernels, x, y);
           expect_bitwise(y, y_gen, adversarial.name.c_str());
         }
@@ -446,7 +452,7 @@ TEST(BroAnsDecode, EagerRefillSpliceAtSymLen64) {
   bk::native_spmv_bro_ans_generic(bro, x, y_gen);
   for (const bk::SimdIsa isa : host_isas()) {
     bk::ScopedSimdIsa forced(isa);
-    bk::native_spmv_bro_ans(bro, x, y);
+    planned_spmv(bro, x, y);
     expect_bitwise(y, y_gen, "eager-refill-sym64");
   }
 }

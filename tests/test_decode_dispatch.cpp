@@ -13,10 +13,11 @@
 #include "core/bro_coo.h"
 #include "core/bro_ell.h"
 #include "core/bro_hyb.h"
-#include "kernels/bro_decode_simd.h"
 #include "kernels/cpu_features.h"
 #include "kernels/native_spmm.h"
 #include "kernels/native_spmv.h"
+#include "kernels/simd_kernels.h"
+#include "planned_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/adversarial.h"
 #include "sparse/matgen/generators.h"
@@ -27,6 +28,7 @@ namespace bs = bro::sparse;
 namespace bc = bro::core;
 using bro::index_t;
 using bro::value_t;
+using bro::testing::planned_spmv;
 
 namespace {
 
@@ -68,7 +70,7 @@ TEST(DecodeDispatch, EllSelectionUniformWidth) {
     bc::BroEllOptions opt;
     opt.forced_bit_width = w;
     const auto bro = bc::BroEll::compress(bs::csr_to_ell(csr), opt);
-    const auto kernels = bk::plan_bro_ell_kernels(bro);
+    const auto kernels = bk::plan_kernels(bro, bk::active_simd_isa());
     ASSERT_EQ(kernels.size(), bro.slices().size());
     for (std::size_t s = 0; s < kernels.size(); ++s) {
       const auto& alloc = bro.slices()[s].bit_alloc;
@@ -93,7 +95,7 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
   bc::BroEllOptions opt;
   opt.forced_bit_width = bk::kMaxSpecializedDecodeWidth + 4;
   const auto wide = bc::BroEll::compress(bs::csr_to_ell(csr), opt);
-  for (const auto& kernel : bk::plan_bro_ell_kernels(wide))
+  for (const auto& kernel : bk::plan_kernels(wide, bk::active_simd_isa()))
     EXPECT_EQ(kernel.width, -1);
 
   // A spike matrix mixes per-column widths within one slice: one long row
@@ -108,7 +110,7 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
   const auto mixed =
       bc::BroEll::compress(bs::csr_to_ell(bs::generate(spec)));
   bool saw_generic = false;
-  for (const auto& kernel : bk::plan_bro_ell_kernels(mixed))
+  for (const auto& kernel : bk::plan_kernels(mixed, bk::active_simd_isa()))
     saw_generic = saw_generic || kernel.width == -1;
   EXPECT_TRUE(saw_generic);
 }
@@ -116,7 +118,7 @@ TEST(DecodeDispatch, EllSelectionWideAndMixedFallBack) {
 TEST(DecodeDispatch, CooSelectionMatchesIntervalBits) {
   const bs::Csr csr = bs::generate_poisson2d(50, 50);
   const auto bro = bc::BroCoo::compress(bs::csr_to_coo(csr));
-  const auto kernels = bk::plan_bro_coo_kernels(bro);
+  const auto kernels = bk::plan_kernels(bro, bk::active_simd_isa());
   ASSERT_EQ(kernels.size(), bro.intervals().size());
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const int bits = bro.intervals()[i].bits;
@@ -156,11 +158,11 @@ void check_parity(const bs::Csr& csr, int width, int sym_len,
 
   for (const bk::SimdIsa isa : host_isas()) {
     bk::ScopedSimdIsa forced(isa);
-    bk::native_spmv_bro_ell(ell, x, y);
+    planned_spmv(ell, x, y);
     bk::native_spmv_bro_ell_generic(ell, x, y_gen);
     expect_bitwise(y, y_gen, name);
 
-    const auto table = bk::plan_bro_ell_kernels(ell);
+    const auto table = bk::plan_kernels(ell, isa);
     std::vector<bk::BroEllKernel> generic_table(
         table.size(), bk::generic_bro_ell_kernel(sym_len));
     bk::native_spmm_bro_ell(ell, table, xm, ym, k);
@@ -226,16 +228,16 @@ TEST(DecodeDispatch, AdversarialParity) {
       for (const bk::SimdIsa isa : host_isas()) {
         bk::ScopedSimdIsa forced(isa);
         if (ell_ok) {
-          bk::native_spmv_bro_ell(ell, x, y);
+          planned_spmv(ell, x, y);
           bk::native_spmv_bro_ell_generic(ell, x, y_gen);
           expect_bitwise(y, y_gen, adversarial.name.c_str());
         }
 
-        bk::native_spmv_bro_coo(coo, x, y);
+        planned_spmv(coo, x, y);
         bk::native_spmv_bro_coo_generic(coo, x, y_gen);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
 
-        const auto table = bk::plan_bro_coo_kernels(coo);
+        const auto table = bk::plan_kernels(coo, isa);
         std::vector<bk::BroCooKernel> generic_table(
             table.size(), bk::generic_bro_coo_kernel(sym_len));
         bk::native_spmm_bro_coo(coo, table, xm, ym, k, carries, sums);
@@ -243,7 +245,7 @@ TEST(DecodeDispatch, AdversarialParity) {
                                 sums);
         expect_bitwise(ym, ym_gen, adversarial.name.c_str());
 
-        bk::native_spmv_bro_hyb(hyb, x, y);
+        planned_spmv(hyb, x, y);
         bk::native_spmv_bro_hyb_generic(hyb, x, y_gen);
         expect_bitwise(y, y_gen, adversarial.name.c_str());
       }
@@ -271,15 +273,15 @@ TEST(DecodeDispatch, CooParityAcrossWarpSizes) {
     const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), opt);
     for (const bk::SimdIsa isa : host_isas()) {
       bk::ScopedSimdIsa forced(isa);
-      bk::native_spmv_bro_coo(coo, x, y);
+      planned_spmv(coo, x, y);
       bk::native_spmv_bro_coo_generic(coo, x, y_gen);
       expect_bitwise(y, y_gen, "warp-sweep");
     }
   }
 }
 
-/// When a SIMD ISA is forced, every planned kernel-table entry must be
-/// tagged with it and point at that ISA's kernel set functions; forcing
+/// When a SIMD ISA is requested, every planned kernel-table entry must be
+/// tagged with it and point at that ISA's IsaKernels entries; requesting
 /// scalar must restore the baseline selection (isa tag kScalar).
 TEST(DecodeDispatch, SimdSelectionTagsKernels) {
   const bs::Csr csr = bs::generate_poisson2d(40, 40);
@@ -292,13 +294,12 @@ TEST(DecodeDispatch, SimdSelectionTagsKernels) {
     const auto coo = bc::BroCoo::compress(bs::csr_to_coo(csr), copt);
 
     for (const bk::SimdIsa isa : host_isas()) {
-      bk::ScopedSimdIsa forced(isa);
-      const auto* set = bk::simd_kernel_set(isa);
+      const bk::IsaKernels* set = bk::isa_kernels(isa);
       if (isa != bk::SimdIsa::kScalar) {
         ASSERT_NE(set, nullptr);
       }
 
-      for (const auto& kernel : bk::plan_bro_ell_kernels(ell)) {
+      for (const auto& kernel : bk::plan_kernels(ell, isa)) {
         EXPECT_EQ(kernel.isa, isa);
         if (set != nullptr) {
           EXPECT_EQ(kernel.spmv,
@@ -307,7 +308,7 @@ TEST(DecodeDispatch, SimdSelectionTagsKernels) {
                     sym_len == 32 ? set->ell_spmm32 : set->ell_spmm64);
         }
       }
-      for (const auto& kernel : bk::plan_bro_coo_kernels(coo)) {
+      for (const auto& kernel : bk::plan_kernels(coo, isa)) {
         EXPECT_EQ(kernel.isa, isa);
         if (set != nullptr) {
           EXPECT_EQ(kernel.spmv,

@@ -12,9 +12,14 @@
 #include <omp.h>
 #endif
 
+#include "core/bro_ans.h"
+#include "core/bro_bcsr.h"
+#include "core/bro_coo.h"
+#include "core/bro_ell.h"
 #include "core/matrix.h"
 #include "engine/format_registry.h"
 #include "engine/plan.h"
+#include "kernels/cpu_features.h"
 #include "solver/cg.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
@@ -246,3 +251,94 @@ TEST(Workspace, CooRangesRekeyOnThreadCountChange) {
   omp_set_num_threads(saved);
 }
 #endif
+
+// ---- Workspace kernel-table cache keying ----
+//
+// One KernelCache per table-driven BRO format, keyed on the object address,
+// its slice/interval count and the active SIMD ISA. A repeat request must be
+// free, an ISA switch must re-select exactly once (to that ISA's kernels or
+// the scalar fallback — never stale ones), and a distinct object must re-key
+// even when its shape is identical.
+
+namespace {
+
+std::vector<bro::kernels::SimdIsa> host_isas() {
+  namespace bk = bro::kernels;
+  std::vector<bk::SimdIsa> isas = {bk::SimdIsa::kScalar};
+  for (const bk::SimdIsa isa : {bk::SimdIsa::kSse4, bk::SimdIsa::kAvx2})
+    if (bk::simd_isa_runnable(isa)) isas.push_back(isa);
+  return isas;
+}
+
+template <typename Table>
+void expect_table_at(const Table& got, const Table& want,
+                     bro::kernels::SimdIsa isa, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].isa == isa ||
+                got[i].isa == bro::kernels::SimdIsa::kScalar)
+        << what << " entry " << i;
+    EXPECT_EQ(got[i].isa, want[i].isa) << what << " entry " << i;
+    EXPECT_EQ(got[i].spmv, want[i].spmv) << what << " entry " << i;
+  }
+}
+
+template <typename Rep>
+void check_kernel_table_keying(const Rep& a, const char* what) {
+  namespace bk = bro::kernels;
+  const Rep b = a; // same shape, distinct address
+  const auto isas = host_isas();
+  for (const bk::SimdIsa isa : isas) {
+    bk::ScopedSimdIsa forced(isa);
+    be::Workspace ws;
+    const auto first = ws.kernel_table(a);
+    const std::size_t allocs = ws.allocations();
+    EXPECT_EQ(allocs, 1u) << what;
+    expect_table_at(std::vector(first.begin(), first.end()),
+                    bk::plan_kernels(a, isa), isa, what);
+
+    // Repeat request: the cached table, no allocation.
+    EXPECT_EQ(ws.kernel_table(a).data(), first.data()) << what;
+    EXPECT_EQ(ws.allocations(), allocs) << what;
+
+    // ISA switch: re-selected once, then cached at the new ISA.
+    std::size_t expected = allocs;
+    for (const bk::SimdIsa other : isas) {
+      if (other == isa) continue;
+      bk::ScopedSimdIsa switched(other);
+      const auto t = ws.kernel_table(a);
+      EXPECT_EQ(ws.allocations(), ++expected) << what;
+      expect_table_at(std::vector(t.begin(), t.end()),
+                      bk::plan_kernels(a, other), other, what);
+      ws.kernel_table(a);
+      EXPECT_EQ(ws.allocations(), expected) << what;
+    }
+    if (expected != allocs) {
+      ws.kernel_table(a); // back at `isa`
+      EXPECT_EQ(ws.allocations(), ++expected) << what;
+    }
+
+    // Distinct object: re-keyed, and back again.
+    const auto tb = ws.kernel_table(b);
+    EXPECT_EQ(ws.allocations(), ++expected) << what;
+    expect_table_at(std::vector(tb.begin(), tb.end()),
+                    bk::plan_kernels(b, isa), isa, what);
+    ws.kernel_table(b);
+    EXPECT_EQ(ws.allocations(), expected) << what;
+    ws.kernel_table(a);
+    EXPECT_EQ(ws.allocations(), ++expected) << what;
+  }
+}
+
+} // namespace
+
+TEST(Workspace, KernelTablesRekeyOnIsaAndObject) {
+  const bs::Csr grid = bs::generate_poisson2d(30, 30);
+  const bs::Ell ell = bs::csr_to_ell(grid);
+  check_kernel_table_keying(bc::BroEll::compress(ell), "BRO-ELL");
+  check_kernel_table_keying(bc::BroCoo::compress(bs::csr_to_coo(grid)),
+                            "BRO-COO");
+  check_kernel_table_keying(bc::BroAns::compress(ell), "BRO-ANS");
+  check_kernel_table_keying(
+      bc::BroBcsr::compress(bs::generate_truss2d(12, 3, 7)), "BRO-BCSR");
+}

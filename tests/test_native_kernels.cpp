@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "kernels/native_spmv.h"
+#include "planned_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
 #include "util/rng.h"
@@ -14,6 +15,7 @@ namespace bs = bro::sparse;
 namespace bc = bro::core;
 using bro::index_t;
 using bro::value_t;
+using bro::testing::planned_spmv;
 
 namespace {
 
@@ -41,7 +43,7 @@ void check_all(const bs::Csr& csr) {
   expect_near(y, "csr");
 
   const bs::Coo coo = bs::csr_to_coo(csr);
-  bk::native_spmv_coo(coo, x, y);
+  planned_spmv(coo, x, y);
   expect_near(y, "coo");
 
   const bs::Ell ell = bs::csr_to_ell(csr);
@@ -51,16 +53,16 @@ void check_all(const bs::Csr& csr) {
   bk::native_spmv_ellr(bs::csr_to_ellr(csr), x, y);
   expect_near(y, "ellr");
 
-  bk::native_spmv_hyb(bs::csr_to_hyb(csr), x, y);
+  planned_spmv(bs::csr_to_hyb(csr), x, y);
   expect_near(y, "hyb");
 
-  bk::native_spmv_bro_ell(bc::BroEll::compress(ell), x, y);
+  planned_spmv(bc::BroEll::compress(ell), x, y);
   expect_near(y, "bro_ell");
 
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(coo), x, y);
+  planned_spmv(bc::BroCoo::compress(coo), x, y);
   expect_near(y, "bro_coo");
 
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
+  planned_spmv(bc::BroHyb::compress(csr), x, y);
   expect_near(y, "bro_hyb");
 }
 
@@ -113,7 +115,7 @@ TEST(NativeKernels, SingleDenseRow) {
   bs::spmv_csr_reference(csr, x, y_ref);
 
   std::vector<value_t> y(static_cast<std::size_t>(csr.rows));
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
+  planned_spmv(bc::BroHyb::compress(csr), x, y);
   for (std::size_t r = 0; r < y.size(); ++r)
     ASSERT_NEAR(y[r], y_ref[r], 1e-11 * (1.0 + std::abs(y_ref[r])));
 }
@@ -130,7 +132,7 @@ TEST(NativeKernels, BroCooCarriesAcrossIntervalBoundaries) {
   std::vector<value_t> y_ref(10);
   bs::spmv_csr_reference(csr, x, y_ref);
   std::vector<value_t> y(10);
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
+  planned_spmv(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
   for (int r = 0; r < 10; ++r)
     ASSERT_NEAR(y[static_cast<std::size_t>(r)],
                 y_ref[static_cast<std::size_t>(r)], 1e-9);
@@ -197,8 +199,8 @@ TEST(NativeKernels, CooEntryRangeSnapsWholeRowIntoOnePart) {
 
 TEST(NativeKernels, HybParallelOverflowMatchesReference) {
   // Heavy spike rows push most entries into the HYB COO overflow; the
-  // ranges overload must agree with the reference (and with the inline
-  // split) while accumulating the overflow in parallel.
+  // ranges path must agree with the reference at every split count while
+  // accumulating the overflow in parallel.
   bs::GenSpec spec;
   spec.rows = 600;
   spec.cols = 3000;

@@ -11,6 +11,7 @@
 
 #include "kernels/native_spmv.h"
 #include "kernels/sim_spmv.h"
+#include "planned_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/generators.h"
 #include "util/rng.h"
@@ -21,6 +22,7 @@ namespace bs = bro::sparse;
 namespace gs = bro::sim;
 using bro::index_t;
 using bro::value_t;
+using bro::testing::planned_spmv;
 
 namespace {
 
@@ -77,15 +79,15 @@ TEST_P(ParallelKernels, AllNativeKernelsAgree) {
 
   bk::native_spmv_csr(csr, x, y);
   check("csr");
-  bk::native_spmv_coo(bs::csr_to_coo(csr), x, y);
+  planned_spmv(bs::csr_to_coo(csr), x, y);
   check("coo");
   bk::native_spmv_ell(bs::csr_to_ell(csr), x, y);
   check("ell");
-  bk::native_spmv_bro_ell(bc::BroEll::compress(bs::csr_to_ell(csr)), x, y);
+  planned_spmv(bc::BroEll::compress(bs::csr_to_ell(csr)), x, y);
   check("bro_ell");
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
+  planned_spmv(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
   check("bro_coo");
-  bk::native_spmv_bro_hyb(bc::BroHyb::compress(csr), x, y);
+  planned_spmv(bc::BroHyb::compress(csr), x, y);
   check("bro_hyb");
 }
 
@@ -101,7 +103,7 @@ TEST_P(ParallelKernels, BroCooCarryUnderThreads) {
   const auto x = random_x(csr.cols);
   std::vector<value_t> y_ref(6), y(6);
   bs::spmv_csr_reference(csr, x, y_ref);
-  bk::native_spmv_bro_coo(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
+  planned_spmv(bc::BroCoo::compress(bs::csr_to_coo(csr)), x, y);
   for (int r = 0; r < 6; ++r)
     ASSERT_NEAR(y[static_cast<std::size_t>(r)],
                 y_ref[static_cast<std::size_t>(r)], 1e-8);

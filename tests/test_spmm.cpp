@@ -74,13 +74,22 @@ void check_kernels(const bs::Csr& csr, int k) {
   bk::native_spmm_ell(ell, x_batch, y_batch, k);
   run_single([&](auto& xj, auto& yj) { bk::native_spmv_ell(ell, xj, yj); });
 
-  bk::native_spmm_bro_ell(bro_ell, x_batch, y_batch, k);
-  run_single(
-      [&](auto& xj, auto& yj) { bk::native_spmv_bro_ell(bro_ell, xj, yj); });
+  const bk::SimdIsa isa = bk::active_simd_isa();
+  const auto ell_kernels = bk::plan_kernels(bro_ell, isa);
+  bk::native_spmm_bro_ell(bro_ell, ell_kernels, x_batch, y_batch, k);
+  run_single([&](auto& xj, auto& yj) {
+    bk::native_spmv_bro_ell(bro_ell, ell_kernels, xj, yj);
+  });
 
-  bk::native_spmm_bro_coo(bro_coo, x_batch, y_batch, k);
-  run_single(
-      [&](auto& xj, auto& yj) { bk::native_spmv_bro_coo(bro_coo, xj, yj); });
+  const auto coo_kernels = bk::plan_kernels(bro_coo, isa);
+  const std::size_t n = bro_coo.intervals().size();
+  std::vector<bk::BroCooCarry> carries(n);
+  std::vector<value_t> carry_sums(n * 2 * static_cast<std::size_t>(k));
+  bk::native_spmm_bro_coo(bro_coo, coo_kernels, x_batch, y_batch, k, carries,
+                          carry_sums);
+  run_single([&](auto& xj, auto& yj) {
+    bk::native_spmv_bro_coo(bro_coo, coo_kernels, xj, yj, carries);
+  });
 }
 
 void check_kernels_all_k(const bs::Csr& csr) {

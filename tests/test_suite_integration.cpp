@@ -10,6 +10,7 @@
 #include "core/matrix.h"
 #include "kernels/native_spmv.h"
 #include "kernels/sim_spmv.h"
+#include "planned_spmv.h"
 #include "sparse/convert.h"
 #include "sparse/matgen/suite.h"
 #include "util/rng.h"
@@ -70,7 +71,7 @@ TEST_P(SuiteMatrix, BroHybRoundTripAndNativeKernel) {
   const bc::BroHyb bro = bc::BroHyb::compress(csr_);
   EXPECT_EQ(bro.total_nnz(), csr_.nnz());
   std::vector<value_t> y(static_cast<std::size_t>(csr_.rows));
-  bk::native_spmv_bro_hyb(bro, x_, y);
+  bro::testing::planned_spmv(bro, x_, y);
   expect_matches(y, "native BRO-HYB");
 }
 

@@ -74,7 +74,7 @@ int usage() {
          "                                     (--short: active ISA only)\n"
          "  bench --decode [--min-time S]      host decode-throughput sweep\n"
          "                                     (specialized vs generic vs\n"
-         "                                     legacy slots vs SIMD ISAs)\n"
+         "                                     SIMD ISAs)\n"
          "       [--suite [--scale S]]         add the BRO-ELL suite decode\n"
          "                                     A/B (scalar vs active SIMD)\n"
          "  entropy-bench [--scale S] [--min-time T]  BRO-ANS vs BRO-ELL\n"
@@ -290,28 +290,28 @@ int cmd_cpuinfo(const Args& args) {
             << "best       " << bk::simd_isa_name(bk::best_simd_isa()) << '\n'
             << "active     " << bk::simd_isa_name(active) << '\n';
 
-  // What plan-time selection resolves to right now, per BRO format: compress
-  // a tiny fixed matrix and read the ISA tag off the planned kernel tables.
+  // What plan-time selection resolves to right now, per table-driven BRO
+  // format: compress tiny fixed matrices and read the ISA tag off the
+  // planned kernel tables. BRO-BCSR gets a truss (its cover needs dense
+  // blocks); the others share one random matrix.
   sparse::GenSpec spec;
   spec.seed = 2013;
   spec.rows = 64;
   spec.cols = 64;
   spec.mu = 4.0;
   const sparse::Csr csr = sparse::generate(spec);
-  const auto ell = core::BroEll::compress(sparse::csr_to_ell(csr));
-  const auto ell_kernels = kernels::plan_bro_ell_kernels(ell);
-  const auto coo = core::BroCoo::compress(sparse::csr_to_coo(csr));
-  const auto coo_kernels = kernels::plan_bro_coo_kernels(coo);
-  std::cout << "BRO-ELL    "
-            << (ell_kernels.empty()
-                    ? "(no slices)"
-                    : bk::simd_isa_name(ell_kernels.front().isa))
-            << '\n'
-            << "BRO-COO    "
-            << (coo_kernels.empty()
-                    ? "(no intervals)"
-                    : bk::simd_isa_name(coo_kernels.front().isa))
-            << '\n';
+  const auto resolved = [&](const char* name, const auto& rep) {
+    const auto table = bk::plan_kernels(rep, active);
+    std::cout << name
+              << (table.empty() ? "(no slices)"
+                                : bk::simd_isa_name(table.front().isa))
+              << '\n';
+  };
+  resolved("BRO-ELL    ", core::BroEll::compress(sparse::csr_to_ell(csr)));
+  resolved("BRO-COO    ", core::BroCoo::compress(sparse::csr_to_coo(csr)));
+  resolved("BRO-ANS    ", core::BroAns::compress(sparse::csr_to_ell(csr)));
+  resolved("BRO-BCSR   ", core::BroBcsr::compress(sparse::generate_truss2d(
+                             8, /*stories=*/2, /*seed=*/2013)));
   return 0;
 }
 
@@ -353,21 +353,19 @@ int cmd_bench_decode_suite(const Args& args, double min_time) {
 
 /// `bench --decode`: host decode throughput per bit width, in giga-deltas
 /// per second, for the decoder variants the PR's perf claims compare (the
-/// scalar trio plus every SIMD ISA runnable on this host; ISA columns the
+/// scalar pair plus every SIMD ISA runnable on this host; ISA columns the
 /// host lacks print n/a).
 int cmd_bench_decode(const Args& args) {
   const double min_time = args.get_double("min-time", 0.02);
   std::cout << "Decode throughput (Gdeltas/s), 64 lanes x 16384 deltas:\n";
-  Table t({"Width", "sym_len", "specialized", "generic", "legacy slots",
-           "sse4", "avx2"});
+  Table t({"Width", "sym_len", "specialized", "generic", "sse4", "avx2"});
   for (const int sym_len : {32, 64}) {
     const auto rows =
         kernels::decode_throughput_sweep(sym_len, 64, 16384, min_time);
     for (const auto& r : rows)
       t.add_row({std::to_string(r.width), std::to_string(r.sym_len),
                  Table::fmt(r.specialized_gdps, 3), Table::fmt(r.generic_gdps, 3),
-                 Table::fmt(r.legacy_gdps, 3), Table::fmt(r.sse4_gdps, 3),
-                 Table::fmt(r.avx2_gdps, 3)});
+                 Table::fmt(r.sse4_gdps, 3), Table::fmt(r.avx2_gdps, 3)});
   }
   t.print(std::cout);
   if (args.has("suite")) return cmd_bench_decode_suite(args, min_time);
@@ -558,7 +556,7 @@ int cmd_block_bench(const Args& args) {
           if (k != kernels::SimdIsa::kScalar &&
               !kernels::simd_isa_runnable(k))
             continue;
-          const auto ks = kernels::plan_bro_bcsr_kernels(a, k);
+          const auto ks = kernels::plan_kernels(a, k);
           std::vector<value_t> y(ref.size(), 0.0);
           for (std::size_t si = 0; si < ks.size(); ++si)
             ks[si].spmv(a, si, x, y);
